@@ -1,9 +1,9 @@
 //! Shared plumbing for the figure-regeneration binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary under
-//! `src/bin/` (see DESIGN.md §3 for the index).  The binaries print
-//! machine-readable CSV rows plus a short human summary, so the series the
-//! paper plots can be regenerated directly:
+//! `src/bin/`.  The binaries print machine-readable CSV rows plus a short
+//! human summary, so the series the paper plots can be regenerated
+//! directly:
 //!
 //! ```text
 //! cargo run --release -p lad-bench --bin fig6_energy

@@ -345,14 +345,26 @@ impl<V> SetAssocCache<V> {
         self.clock
     }
 
+    /// `true` if `slot` exists and lies in the set that line `tag` maps to —
+    /// the geometry a checkpointed `(slot, tag)` pair must fit before
+    /// [`SetAssocCache::restore_slot`] accepts it.
+    pub fn slot_fits(&self, slot: usize, tag: u64) -> bool {
+        slot < self.stamps.len()
+            && self.set_base(CacheLine::from_index(tag)) == slot - slot % self.associativity
+    }
+
     /// Re-occupies `slot` with a checkpointed `(tag, stamp, value)` tuple.
     ///
     /// # Panics
     ///
-    /// Panics if `slot` is out of range or already occupied, or if `stamp`
-    /// is `0` (the vacancy marker) — a checkpoint only records live slots.
+    /// Panics if `slot` is out of range, outside the set `tag` maps to, or
+    /// already occupied, or if `stamp` is `0` (the vacancy marker) — a
+    /// checkpoint only records live slots.
     pub fn restore_slot(&mut self, slot: usize, tag: u64, stamp: u64, value: V) {
-        assert!(slot < self.stamps.len(), "slot {slot} out of range");
+        assert!(
+            self.slot_fits(slot, tag),
+            "slot {slot} out of range or outside the set of tag {tag:#x}"
+        );
         assert!(self.stamps[slot] == 0, "slot {slot} is already occupied");
         assert!(stamp != 0, "stamp 0 marks a vacant slot");
         self.tags[slot] = tag;

@@ -51,6 +51,23 @@ fn capture<V: Clone>(
     }
 }
 
+/// Checks `state` against `array`'s geometry: every slot in range and in
+/// the set its tag maps to.
+fn check_fits<V>(array: &SetAssocCache<V>, state: &CacheState<V>) -> Result<(), String> {
+    match state
+        .slots
+        .iter()
+        .find(|(slot, tag, ..)| !array.slot_fits(*slot, *tag))
+    {
+        Some((slot, tag, ..)) => Err(format!(
+            "slot {slot} of tag {tag:#x} does not fit {} sets of {} ways",
+            array.num_sets(),
+            array.associativity()
+        )),
+        None => Ok(()),
+    }
+}
+
 fn replay<V>(array: &mut SetAssocCache<V>, state: &CacheState<V>) -> (Counter, Counter, Counter)
 where
     V: Clone,
@@ -73,6 +90,16 @@ impl<V: Clone> L1Cache<V> {
         capture(self.array(), self.hits(), self.misses(), self.evictions())
     }
 
+    /// Checks that a snapshot fits this cache's geometry — the condition
+    /// under which [`L1Cache::restore_state`] cannot panic on slot indices.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first slot outside the cache or outside its tag's set.
+    pub fn check_state(&self, state: &CacheState<V>) -> Result<(), String> {
+        check_fits(self.array(), state)
+    }
+
     /// Restores a snapshot taken from a cache with the same geometry.
     ///
     /// # Panics
@@ -89,6 +116,16 @@ impl<V: SharerCount + Clone> LlcSlice<V> {
     /// Snapshots the slice for checkpointing.
     pub fn state(&self) -> CacheState<V> {
         capture(self.array(), self.hits(), self.misses(), self.evictions())
+    }
+
+    /// Checks that a snapshot fits this slice's geometry — the condition
+    /// under which [`LlcSlice::restore_state`] cannot panic on slot indices.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first slot outside the slice or outside its tag's set.
+    pub fn check_state(&self, state: &CacheState<V>) -> Result<(), String> {
+        check_fits(self.array(), state)
     }
 
     /// Restores a snapshot taken from a slice with the same geometry.

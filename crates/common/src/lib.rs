@@ -16,6 +16,8 @@
 //!   for simulator hot paths where `SipHash` is too slow.
 //! * [`json`] — a dependency-free JSON document model (serializer + strict
 //!   parser) used for the machine-readable experiment reports.
+//! * [`hex`] — the table-driven hex codec that carries binary payloads
+//!   (trace uploads, engine-checkpoint blobs) inside JSON documents.
 //! * [`workers`] — the one worker-count resolution chain (explicit override,
 //!   then `LAD_THREADS`, then a default) shared by every parallel entry
 //!   point.
@@ -48,6 +50,7 @@ pub mod collections;
 pub mod config;
 pub mod fault;
 pub mod fs;
+pub mod hex;
 pub mod json;
 pub mod rng;
 pub mod stats;

@@ -28,7 +28,7 @@ use std::time::Duration;
 use lad_common::json::JsonValue;
 use lad_common::rng::DeterministicRng;
 
-use crate::protocol::{hex_encode, JobSpec};
+use crate::protocol::JobSpec;
 
 /// Bounded-retry policy for connection-level failures: attempt `attempts`
 /// times total, sleeping `base * 2^(attempt-1)` (capped at `cap`) scaled
@@ -347,7 +347,7 @@ impl Client {
     pub fn upload(&mut self, bytes: &[u8]) -> Result<JsonValue, ClientError> {
         self.verb(
             "upload",
-            vec![("bytes", JsonValue::from(hex_encode(bytes)))],
+            vec![("bytes", JsonValue::from(lad_common::hex::encode(bytes)))],
         )
     }
 

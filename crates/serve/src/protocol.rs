@@ -456,44 +456,6 @@ pub fn fingerprint_hex(value: u64) -> String {
     format!("{value:016x}")
 }
 
-/// Encodes bytes as lowercase hex — the `upload` verb's dependency-free
-/// body encoding (the workspace has no base64 codec).
-pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for byte in bytes {
-        out.push_str(&format!("{byte:02x}"));
-    }
-    out
-}
-
-/// Decodes a lowercase/uppercase hex string back into bytes.
-///
-/// # Errors
-///
-/// [`ServeError::BadRequest`] on odd length or non-hex characters.
-pub fn hex_decode(text: &str) -> Result<Vec<u8>, ServeError> {
-    if !text.len().is_multiple_of(2) {
-        return Err(bad("hex body must have an even number of digits"));
-    }
-    let digits = text.as_bytes();
-    let mut out = Vec::with_capacity(digits.len() / 2);
-    for pair in digits.chunks_exact(2) {
-        let hi = hex_digit(pair[0]).ok_or_else(|| bad("hex body has a non-hex character"))?;
-        let lo = hex_digit(pair[1]).ok_or_else(|| bad("hex body has a non-hex character"))?;
-        out.push((hi << 4) | lo);
-    }
-    Ok(out)
-}
-
-fn hex_digit(byte: u8) -> Option<u8> {
-    match byte {
-        b'0'..=b'9' => Some(byte - b'0'),
-        b'a'..=b'f' => Some(byte - b'a' + 10),
-        b'A'..=b'F' => Some(byte - b'A' + 10),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,17 +632,6 @@ mod tests {
                 "system": "huge"}"#,
             "preset",
         );
-    }
-
-    #[test]
-    fn hex_codec_roundtrips_and_rejects_garbage() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        let text = hex_encode(&bytes);
-        assert_eq!(hex_decode(&text).unwrap(), bytes);
-        assert_eq!(hex_decode(&text.to_uppercase()).unwrap(), bytes);
-        assert!(hex_decode("abc").is_err());
-        assert!(hex_decode("zz").is_err());
-        assert_eq!(hex_decode("").unwrap(), Vec::<u8>::new());
     }
 
     #[test]

@@ -47,7 +47,7 @@ use lad_energy::model::EnergyModel;
 use lad_obs::{Counter, Gauge, LatencyHistogram, MetricSample, MetricsRegistry, SampleValue};
 use lad_replication::policy::SchemeRegistry;
 use lad_replication::scheme::SchemeId;
-use lad_sim::checkpoint::EngineCheckpoint;
+use lad_sim::checkpoint::{EngineCheckpoint, ResumeError};
 use lad_sim::engine::{RunControl, RunObserver, RunOutcome, RunProgress, Simulator};
 use lad_sim::experiment::ReplayError;
 use lad_sim::metrics::SimulationReport;
@@ -58,7 +58,7 @@ use lad_traceio::source::{FaultyFileSource, FileSource, GeneratorSource, TraceSo
 use crate::cache::{CacheKey, ResultCache};
 use crate::durable::{self, LoadOutcome};
 use crate::protocol::{
-    fingerprint, fingerprint_hex, hex_decode, JobSpec, ServeError, TraceSpec, PROTOCOL_VERSION,
+    fingerprint, fingerprint_hex, JobSpec, ServeError, TraceSpec, PROTOCOL_VERSION,
 };
 
 /// Tuning knobs of one server instance.
@@ -134,7 +134,6 @@ struct CellSpec {
     trace: TraceSpec,
     scheme: SchemeId,
     system: SystemConfig,
-    benchmark: String,
 }
 
 /// A queued-or-running cell, subscribed to by one or more job cells.
@@ -678,7 +677,8 @@ fn verb_upload(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> 
             shared.config.max_upload_bytes
         )));
     }
-    let bytes = hex_decode(body)?;
+    let bytes = lad_common::hex::decode(body)
+        .map_err(|err| ServeError::BadRequest(format!("upload body: {err}")))?;
     // Decode fully before storing: the digest pass validates every frame,
     // so a stored trace is always replayable.
     let digest = lad_traceio::digest::digest_reader(std::io::Cursor::new(&bytes))
@@ -865,7 +865,6 @@ fn verb_submit(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> 
                             trace: spec.trace.clone(),
                             scheme: *id,
                             system: system.clone(),
-                            benchmark: resolved.benchmark.clone(),
                         },
                         running: false,
                         cancel: Arc::new(AtomicBool::new(false)),
@@ -1482,7 +1481,7 @@ fn run_cell(shared: &Shared, item: &WorkItem) -> Result<CellOutcome, String> {
         EnergyModel::paper_default(),
     );
     let checkpoint_path = shared.checkpoint_path(&item.key);
-    let restored = load_checkpoint(shared, &checkpoint_path, &item.key, &item.spec);
+    let restored = load_checkpoint(shared, &checkpoint_path, &item.key);
     let mut observer = CellObserver {
         interval: shared.config.checkpoint_interval.max(1),
         key: &item.key,
@@ -1492,12 +1491,20 @@ fn run_cell(shared: &Shared, item: &WorkItem) -> Result<CellOutcome, String> {
         checkpoint_path: &checkpoint_path,
         shared,
     };
-    let outcome = match &restored {
-        Some(checkpoint) => {
+    let resumed = restored
+        .as_ref()
+        .map(|checkpoint| sim.resume_source(source.as_mut(), checkpoint, Some(&mut observer)));
+    let outcome = match resumed {
+        Some(Ok(outcome)) => {
             shared.metrics.cells_resumed.inc();
-            sim.resume_source(source.as_mut(), checkpoint, Some(&mut observer))
+            Ok(outcome)
         }
-        None => sim.run_source_observed(source.as_mut(), Some(&mut observer)),
+        Some(Err(ResumeError::Trace(err))) => Err(err),
+        // A stale spill that does not fit this cell (or no spill at all)
+        // runs from access 0.
+        Some(Err(ResumeError::Rejected(_))) | None => {
+            sim.run_source_observed(source.as_mut(), Some(&mut observer))
+        }
     }
     .map_err(|err| err.to_string())?;
     match outcome {
@@ -1539,18 +1546,14 @@ fn write_checkpoint(
     Ok(())
 }
 
-/// Loads and validates a spilled checkpoint for `key`.  A corrupt or torn
-/// file is quarantined to `<file>.quarantine` (counted in
-/// `checkpoints_quarantined`); a digest-valid but stale or mismatched one
-/// (including a file for a different spec that landed on the same stem)
-/// is ignored.  Either way the cell simply runs from access 0 — never a
-/// panic, never a resume from bad state.
-fn load_checkpoint(
-    shared: &Shared,
-    path: &Path,
-    key: &CacheKey,
-    spec: &CellSpec,
-) -> Option<EngineCheckpoint> {
+/// Loads a spilled checkpoint for `key`.  A corrupt or torn file is
+/// quarantined to `<file>.quarantine` (counted in
+/// `checkpoints_quarantined`); a digest-valid one for another key or in an
+/// unknown body format is ignored, and one that does not fit the cell
+/// (including a file for a different spec that landed on the same stem) is
+/// rejected by `resume_source`.  Either way the cell simply runs from
+/// access 0 — never a panic, never a resume from bad state.
+fn load_checkpoint(shared: &Shared, path: &Path, key: &CacheKey) -> Option<EngineCheckpoint> {
     let note_quarantine = || {
         shared.metrics.checkpoints_quarantined.inc();
     };
@@ -1576,14 +1579,5 @@ fn load_checkpoint(
     {
         return None;
     }
-    let checkpoint = EngineCheckpoint::from_json(body.get("checkpoint")?).ok()?;
-    // `resume_source` asserts these; a stale spill must fall back to a
-    // fresh run instead of panicking the worker.
-    if checkpoint.benchmark != spec.benchmark
-        || checkpoint.num_cores != spec.system.num_cores
-        || checkpoint.consumed.len() != checkpoint.num_cores
-    {
-        return None;
-    }
-    Some(checkpoint)
+    EngineCheckpoint::from_json(body.get("checkpoint")?).ok()
 }

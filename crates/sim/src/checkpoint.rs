@@ -1,6 +1,6 @@
 //! Mid-stream engine checkpoints: a plain-data snapshot of every piece of
-//! mutable simulator state plus the per-core stream cursor, with exact JSON
-//! round-tripping through [`lad_common::json`].
+//! mutable simulator state plus the per-core stream cursor, with an exact
+//! binary encoding carried inside a JSON wrapper.
 //!
 //! Two things are deliberately **not** serialized:
 //!
@@ -12,23 +12,71 @@
 //!   core's stream by that many accesses and re-fetches the pending window
 //!   from the (deterministic) source.
 //!
-//! Full-range `u64` values (RNG state, cache tags, line indices) are encoded
-//! as `"0x…"` hex strings: [`JsonValue`] numbers are `f64` and would
-//! silently lose bits above 2^53.
+//! # Encoding
 //!
-//! [`EngineCheckpoint::from_json`] reports *structural* problems (missing or
-//! mistyped fields) as errors.  *Semantic* invariant violations — sharer
-//! lists over budget, duplicate classifier entries, occupied-slot clashes —
-//! panic inside the validating restore constructors of the lower crates:
-//! checkpoints are produced by [`Simulator::capture_checkpoint`] and a
-//! structurally well-formed document that violates protocol invariants means
-//! the file was tampered with, not malformed.
+//! [`EngineCheckpoint::to_json`] produces `{"format": 1, "bytes": "<hex>"}`:
+//! the body is one binary blob, hex-encoded ([`lad_common::hex`]) so the
+//! digest-sealed JSON envelope the service spills it in is unchanged.  The
+//! body is built from the LADT codecs of [`lad_traceio::varint`]: every
+//! integer is a LEB128 varint, and sorted sequences store zigzag deltas.
+//! Sections, in order:
+//!
+//! 1. **header** — benchmark and scheme (length-prefixed UTF-8), active
+//!    cores, RT, classifier capacity (`0` = Complete, `k + 1` = Limited_k);
+//! 2. **tiles** — count, then per tile its clock and three caches (L1-I,
+//!    L1-D, LLC slice), each as LRU clock, hits, misses, evictions and the
+//!    occupied slots `(slot, tag, stamp, entry)` with slot and tag
+//!    delta-coded against the previous slot.  An L1 entry is one MESI byte;
+//!    an LLC entry starts with one flag byte (home/replica, dirty, ACKwise
+//!    global mode, owner present / L1 copy, replica MESI state) followed by
+//!    the owner, pointer budget, tracked sharers, global sharer count and
+//!    classifier entries `(core, mode|active byte, reuse)` of a home, or the
+//!    reuse counter of a replica;
+//! 3. **network** — per-link `(busy_until, flits)`, message counters and
+//!    the latency histogram (values delta-coded, ascending);
+//! 4. **DRAM** — per-controller `(free_at, accesses, busy_cycles)`;
+//! 5. **RNG** — the four xoshiro256++ words as raw little-endian `u64`s;
+//! 6. **energy** — the seven component totals as raw little-endian `f64`
+//!    bits, so they round-trip exactly;
+//! 7. **latency / misses** — the Figure 7 and Figure 8 counters;
+//! 8. **run lengths** — closed-run histograms per class, then the open runs
+//!    `(line, core, length, class)` with lines delta-coded in ascending
+//!    order;
+//! 9. **busy lines** — `(line, cycle)` with lines delta-coded, ascending;
+//! 10. **totals** — replicas created, back-invalidations, accesses, the
+//!     classifier variance totals, then one cursor per active core.
+//!
+//! The body must be consumed exactly; trailing bytes are an error.
+//!
+//! **Versioning.** A document whose `format` is not [`FORMAT`] — including
+//! every all-JSON checkpoint written before the binary body existed — is
+//! rejected by [`EngineCheckpoint::from_json`]; the service then ignores the
+//! spill and reruns the cell from access 0, exactly as for a stale one.
+//!
+//! # Validation
+//!
+//! Checkpoints come from outside the process, so nothing in them may reach
+//! a panicking restore constructor.  [`EngineCheckpoint::from_json`] checks
+//! everything that needs no simulator geometry (sharer-list budgets and
+//! modes, owners tracked, unique classifier cores, counters ≤ RT, strictly
+//! ascending slots, nonzero stamps ≤ the LRU clock, positive open-run
+//! lengths, a non-zero RNG state, finite energies) and
+//! [`Simulator::resume_source`] checks the rest against the simulator
+//! before restoring anything: benchmark, cores, scheme, RT, classifier,
+//! tile/link/controller counts, and every slot inside its cache and in its
+//! tag's set.  Once restored, the state must also pass the `lad-check`
+//! invariant catalog ([`Simulator::check_protocol_invariants`]): a body
+//! whose values are each plausible but together incoherent (a line cached
+//! by a core its directory does not track) is rejected before it runs.
+
+use std::fmt;
 
 use lad_cache::CacheState;
 use lad_coherence::ackwise::AckwiseSharers;
 use lad_coherence::directory::DirectoryEntry;
 use lad_coherence::mesi::MesiState;
 use lad_common::json::JsonValue;
+use lad_common::stats::Histogram;
 use lad_common::types::{CacheLine, CoreId, Cycle, DataClass};
 use lad_dram::DramControllerState;
 use lad_energy::accounting::{Component, EnergyAccounting};
@@ -38,11 +86,17 @@ use lad_replication::classifier::{
 };
 use lad_replication::counter::SaturatingCounter;
 use lad_replication::entry::{HomeEntry, LlcEntry, ReplicaEntry};
+use lad_traceio::varint;
+use lad_traceio::TraceError;
 
 use crate::metrics::{ClassifierStats, LatencyBreakdown, MissBreakdown, RunLengthProfile};
 
 #[cfg(doc)]
 use crate::Simulator;
+
+/// The body encoding [`EngineCheckpoint::to_json`] writes and
+/// [`EngineCheckpoint::from_json`] accepts.
+pub const FORMAT: u64 = 1;
 
 /// Snapshot of one tile: core clock plus the three cache arrays.
 #[derive(Debug, Clone)]
@@ -109,623 +163,780 @@ pub struct EngineCheckpoint {
     pub consumed: Vec<u64>,
 }
 
-fn hex(value: u64) -> JsonValue {
-    JsonValue::String(format!("{value:#x}"))
+/// Why [`Simulator::resume_source`] could not continue a run.
+#[derive(Debug)]
+pub enum ResumeError {
+    /// The checkpoint cannot continue this run: it does not fit the source
+    /// or simulator (another benchmark, core count, scheme, classifier or
+    /// geometry, or a cursor past the end of the stream), or the restored
+    /// state violates a protocol invariant.  Nothing useful was restored;
+    /// the caller should run from access 0 instead.
+    Rejected(String),
+    /// The trace source failed.
+    Trace(TraceError),
 }
 
-fn parse_hex(value: &JsonValue, what: &str) -> Result<u64, String> {
-    let text = value
-        .as_str()
-        .ok_or_else(|| format!("{what} must be a hex string"))?;
-    let digits = text
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("{what} must start with 0x"))?;
-    u64::from_str_radix(digits, 16).map_err(|error| format!("{what}: {error}"))
-}
-
-fn u64_field(value: &JsonValue, name: &str) -> Result<u64, String> {
-    value
-        .get(name)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("checkpoint is missing numeric field {name:?}"))
-}
-
-fn str_field(value: &JsonValue, name: &str) -> Result<String, String> {
-    value
-        .get(name)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("checkpoint is missing string field {name:?}"))
-}
-
-fn array_field<'a>(value: &'a JsonValue, name: &str) -> Result<&'a [JsonValue], String> {
-    value
-        .get(name)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("checkpoint is missing array field {name:?}"))
-}
-
-fn bool_field(value: &JsonValue, name: &str) -> Result<bool, String> {
-    value
-        .get(name)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| format!("checkpoint is missing boolean field {name:?}"))
-}
-
-fn core_from(value: &JsonValue, what: &str) -> Result<CoreId, String> {
-    let index = value
-        .as_u64()
-        .ok_or_else(|| format!("{what} must be a core index"))?;
-    Ok(CoreId::new(index as usize))
-}
-
-fn mesi_from(value: &JsonValue, what: &str) -> Result<MesiState, String> {
-    value
-        .as_str()
-        .and_then(MesiState::parse)
-        .ok_or_else(|| format!("{what} must be one of \"M\", \"E\", \"S\", \"I\""))
-}
-
-fn class_from(value: &JsonValue, what: &str) -> Result<DataClass, String> {
-    let label = value
-        .as_str()
-        .ok_or_else(|| format!("{what} must be a data-class label"))?;
-    DataClass::ALL
-        .iter()
-        .copied()
-        .find(|class| class.label() == label)
-        .ok_or_else(|| format!("{what}: unknown data class {label:?}"))
-}
-
-fn cache_to_json<V>(state: &CacheState<V>, encode: impl Fn(&V) -> JsonValue) -> JsonValue {
-    let slots: Vec<JsonValue> = state
-        .slots
-        .iter()
-        .map(|(slot, tag, stamp, value)| {
-            JsonValue::Array(vec![
-                JsonValue::from(*slot),
-                hex(*tag),
-                JsonValue::from(*stamp),
-                encode(value),
-            ])
-        })
-        .collect();
-    JsonValue::object([
-        ("clock", JsonValue::from(state.clock)),
-        ("hits", JsonValue::from(state.hits)),
-        ("misses", JsonValue::from(state.misses)),
-        ("evictions", JsonValue::from(state.evictions)),
-        ("slots", JsonValue::Array(slots)),
-    ])
-}
-
-fn cache_from_json<V>(
-    value: &JsonValue,
-    what: &str,
-    decode: impl Fn(&JsonValue, &str) -> Result<V, String>,
-) -> Result<CacheState<V>, String> {
-    let mut slots = Vec::new();
-    for (i, entry) in array_field(value, "slots")?.iter().enumerate() {
-        let quad = entry.as_array().filter(|q| q.len() == 4);
-        let Some([slot, tag, stamp, payload]) = quad else {
-            return Err(format!(
-                "{what} slot {i} must be a [slot, tag, stamp, value] quad"
-            ));
-        };
-        let slot = slot
-            .as_u64()
-            .ok_or_else(|| format!("{what} slot {i}: slot index must be a number"))?;
-        let tag = parse_hex(tag, &format!("{what} slot {i} tag"))?;
-        let stamp = stamp
-            .as_u64()
-            .ok_or_else(|| format!("{what} slot {i}: stamp must be a number"))?;
-        let payload = decode(payload, &format!("{what} slot {i}"))?;
-        slots.push((slot as usize, tag, stamp, payload));
+impl fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ResumeError::Rejected(why) => write!(f, "checkpoint rejected: {why}"),
+            ResumeError::Trace(err) => err.fmt(f),
+        }
     }
-    Ok(CacheState {
-        slots,
-        clock: u64_field(value, "clock")?,
-        hits: u64_field(value, "hits")?,
-        misses: u64_field(value, "misses")?,
-        evictions: u64_field(value, "evictions")?,
-    })
 }
 
-fn llc_entry_to_json(entry: &LlcEntry) -> JsonValue {
+impl std::error::Error for ResumeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ResumeError::Rejected(_) => None,
+            ResumeError::Trace(err) => Some(err),
+        }
+    }
+}
+
+impl From<TraceError> for ResumeError {
+    fn from(err: TraceError) -> Self {
+        ResumeError::Trace(err)
+    }
+}
+
+// ----- flag bytes ---------------------------------------------------------
+
+/// LLC entry flag byte: bit 0 set for a replica, clear for a home.
+const REPLICA: u8 = 1;
+/// Both entry kinds: the LLC copy is dirty.
+const DIRTY: u8 = 1 << 1;
+/// Home: the ACKwise list is in global (broadcast) mode.
+const GLOBAL: u8 = 1 << 2;
+/// Home: an exclusive owner follows.  Replica: the local L1 holds a copy.
+const OWNER_OR_L1_COPY: u8 = 1 << 3;
+/// Replica: the MESI state in bits 4–5.
+const STATE_SHIFT: u8 = 4;
+/// Classifier entry byte: replica mode (bit 0) and active (bit 1).
+const MODE_REPLICA: u8 = 1;
+const ACTIVE: u8 = 1 << 1;
+
+/// MESI states by their one-byte code.
+const MESI: [MesiState; 4] = [
+    MesiState::Modified,
+    MesiState::Exclusive,
+    MesiState::Shared,
+    MesiState::Invalid,
+];
+
+fn mesi_byte(state: MesiState) -> u8 {
+    match state {
+        MesiState::Modified => 0,
+        MesiState::Exclusive => 1,
+        MesiState::Shared => 2,
+        MesiState::Invalid => 3,
+    }
+}
+
+/// Data classes are coded by their index in [`DataClass::ALL`].
+fn class_byte(class: DataClass) -> u8 {
+    match class {
+        DataClass::Private => 0,
+        DataClass::Instruction => 1,
+        DataClass::SharedReadOnly => 2,
+        DataClass::SharedReadWrite => 3,
+    }
+}
+
+/// `flag` if `set`, else no bits.
+fn bit(set: bool, flag: u8) -> u8 {
+    if set {
+        flag
+    } else {
+        0
+    }
+}
+
+// ----- encoding -----------------------------------------------------------
+
+fn put(out: &mut Vec<u8>, value: u64) {
+    varint::encode_u64(out, value);
+}
+
+fn put_all(out: &mut Vec<u8>, values: impl IntoIterator<Item = u64>) {
+    for value in values {
+        put(out, value);
+    }
+}
+
+/// Appends `value` as a zigzag delta from `*previous`, then advances it.
+fn put_delta(out: &mut Vec<u8>, previous: &mut u64, value: u64) {
+    put(out, varint::zigzag(varint::delta(*previous, value)));
+    *previous = value;
+}
+
+fn put_str(out: &mut Vec<u8>, text: &str) {
+    put(out, text.len() as u64);
+    out.extend_from_slice(text.as_bytes());
+}
+
+fn put_histogram(out: &mut Vec<u8>, samples: &[(u64, u64)]) {
+    put(out, samples.len() as u64);
+    let mut value_at = 0;
+    for (value, count) in samples {
+        put_delta(out, &mut value_at, *value);
+        put(out, *count);
+    }
+}
+
+fn put_cache<V>(out: &mut Vec<u8>, state: &CacheState<V>, entry: impl Fn(&mut Vec<u8>, &V)) {
+    put_all(
+        out,
+        [state.clock, state.hits, state.misses, state.evictions],
+    );
+    put(out, state.slots.len() as u64);
+    let (mut slot_at, mut tag_at) = (0, 0);
+    for (slot, tag, stamp, value) in &state.slots {
+        put_delta(out, &mut slot_at, *slot as u64);
+        put_delta(out, &mut tag_at, *tag);
+        put(out, *stamp);
+        entry(out, value);
+    }
+}
+
+fn put_llc_entry(out: &mut Vec<u8>, entry: &LlcEntry) {
     match entry {
         LlcEntry::Home(home) => {
             let sharers = home.directory.sharers();
-            let tracked: Vec<JsonValue> = sharers
-                .tracked()
-                .iter()
-                .map(|core| JsonValue::from(core.index()))
-                .collect();
-            let classifier: Vec<JsonValue> = home
-                .classifier
-                .snapshot()
-                .iter()
-                .map(|t| {
-                    JsonValue::Array(vec![
-                        JsonValue::from(t.core.index()),
-                        JsonValue::from(t.mode.allows_replica()),
-                        JsonValue::from(t.home_reuse),
-                        JsonValue::from(t.active),
-                    ])
-                })
-                .collect();
-            JsonValue::object([
-                ("kind", JsonValue::from("home")),
-                ("dirty", JsonValue::from(home.dirty)),
-                (
-                    "owner",
-                    home.directory
-                        .owner()
-                        .map_or(JsonValue::Null, |core| JsonValue::from(core.index())),
-                ),
-                ("max_pointers", JsonValue::from(sharers.max_pointers())),
-                ("tracked", JsonValue::Array(tracked)),
-                ("global", JsonValue::from(sharers.is_global())),
-                ("sharer_count", JsonValue::from(sharers.count())),
-                ("classifier", JsonValue::Array(classifier)),
-            ])
-        }
-        LlcEntry::Replica(replica) => JsonValue::object([
-            ("kind", JsonValue::from("replica")),
-            ("state", JsonValue::from(replica.state.to_string())),
-            ("dirty", JsonValue::from(replica.dirty)),
-            ("l1_copy", JsonValue::from(replica.l1_copy)),
-            ("reuse", JsonValue::from(replica.reuse.value())),
-        ]),
-    }
-}
-
-fn llc_entry_from_json(
-    value: &JsonValue,
-    what: &str,
-    rt: u32,
-    kind: ClassifierKind,
-) -> Result<LlcEntry, String> {
-    match str_field(value, "kind")?.as_str() {
-        "home" => {
-            let mut tracked = Vec::new();
-            for core in array_field(value, "tracked")? {
-                tracked.push(core_from(core, &format!("{what} tracked sharer"))?);
-            }
-            let sharers = AckwiseSharers::from_parts(
-                u64_field(value, "max_pointers")? as usize,
-                &tracked,
-                bool_field(value, "global")?,
-                u64_field(value, "sharer_count")? as usize,
+            let owner = home.directory.owner();
+            out.push(
+                bit(home.dirty, DIRTY)
+                    | bit(sharers.is_global(), GLOBAL)
+                    | bit(owner.is_some(), OWNER_OR_L1_COPY),
             );
-            let owner = match value.get("owner") {
-                None => return Err(format!("{what} home entry is missing \"owner\"")),
-                Some(JsonValue::Null) => None,
-                Some(core) => Some(core_from(core, &format!("{what} owner"))?),
-            };
-            let mut entries = Vec::new();
-            for (i, entry) in array_field(value, "classifier")?.iter().enumerate() {
-                let quad = entry.as_array().filter(|q| q.len() == 4);
-                let Some([core, replica, reuse, active]) = quad else {
-                    return Err(format!(
-                        "{what} classifier entry {i} must be a [core, replica, reuse, active] quad"
-                    ));
-                };
-                let mode = if replica
-                    .as_bool()
-                    .ok_or_else(|| format!("{what} classifier entry {i}: mode must be a bool"))?
-                {
-                    ReplicationMode::Replica
-                } else {
-                    ReplicationMode::NonReplica
-                };
-                entries.push(TrackedCore {
-                    core: core_from(core, &format!("{what} classifier entry {i}"))?,
-                    mode,
-                    home_reuse: reuse.as_u64().ok_or_else(|| {
-                        format!("{what} classifier entry {i}: reuse must be a number")
-                    })? as u32,
-                    active: active.as_bool().ok_or_else(|| {
-                        format!("{what} classifier entry {i}: active must be a bool")
-                    })?,
-                });
+            put_all(out, owner.map(|core| core.index() as u64));
+            put(out, sharers.max_pointers() as u64);
+            put(out, sharers.tracked().len() as u64);
+            put_all(
+                out,
+                sharers.tracked().iter().map(|core| core.index() as u64),
+            );
+            if sharers.is_global() {
+                put(out, sharers.count() as u64);
             }
-            Ok(LlcEntry::Home(HomeEntry {
-                directory: DirectoryEntry::from_parts(sharers, owner),
-                classifier: LocalityClassifier::from_snapshot(kind, rt, &entries),
-                dirty: bool_field(value, "dirty")?,
-            }))
+            let classifier = home.classifier.snapshot();
+            put(out, classifier.len() as u64);
+            for tracked in classifier {
+                put(out, tracked.core.index() as u64);
+                out.push(
+                    bit(tracked.mode.allows_replica(), MODE_REPLICA) | bit(tracked.active, ACTIVE),
+                );
+                put(out, u64::from(tracked.home_reuse));
+            }
         }
-        "replica" => Ok(LlcEntry::Replica(ReplicaEntry {
-            state: mesi_from(
-                value
-                    .get("state")
-                    .ok_or_else(|| format!("{what} replica is missing \"state\""))?,
-                &format!("{what} replica state"),
-            )?,
-            reuse: SaturatingCounter::with_value(rt, u64_field(value, "reuse")? as u32),
-            l1_copy: bool_field(value, "l1_copy")?,
-            dirty: bool_field(value, "dirty")?,
-        })),
-        kind => Err(format!("{what}: unknown LLC entry kind {kind:?}")),
+        LlcEntry::Replica(replica) => {
+            out.push(
+                REPLICA
+                    | mesi_byte(replica.state) << STATE_SHIFT
+                    | bit(replica.dirty, DIRTY)
+                    | bit(replica.l1_copy, OWNER_OR_L1_COPY),
+            );
+            put(out, u64::from(replica.reuse.value()));
+        }
     }
-}
-
-fn network_to_json(state: &NetworkState) -> JsonValue {
-    let links: Vec<JsonValue> = state
-        .links
-        .iter()
-        .map(|link| {
-            JsonValue::Array(vec![
-                JsonValue::from(link.busy_until.value()),
-                JsonValue::from(link.flits),
-            ])
-        })
-        .collect();
-    let latency: Vec<JsonValue> = state
-        .latency
-        .iter()
-        .map(|(value, count)| {
-            JsonValue::Array(vec![JsonValue::from(*value), JsonValue::from(*count)])
-        })
-        .collect();
-    JsonValue::object([
-        ("links", JsonValue::Array(links)),
-        ("messages", JsonValue::from(state.messages)),
-        ("control_messages", JsonValue::from(state.control_messages)),
-        ("data_messages", JsonValue::from(state.data_messages)),
-        ("flit_hops", JsonValue::from(state.flit_hops)),
-        (
-            "router_traversals",
-            JsonValue::from(state.router_traversals),
-        ),
-        ("latency", JsonValue::Array(latency)),
-    ])
-}
-
-fn pair_u64(value: &JsonValue, what: &str) -> Result<(u64, u64), String> {
-    let pair = value.as_array().filter(|p| p.len() == 2);
-    let (first, second) = match pair {
-        Some([a, b]) => (a.as_u64(), b.as_u64()),
-        _ => (None, None),
-    };
-    match (first, second) {
-        (Some(first), Some(second)) => Ok((first, second)),
-        _ => Err(format!("{what} must be a pair of numbers")),
-    }
-}
-
-fn network_from_json(value: &JsonValue) -> Result<NetworkState, String> {
-    let mut links = Vec::new();
-    for (i, link) in array_field(value, "links")?.iter().enumerate() {
-        let (busy_until, flits) = pair_u64(link, &format!("network link {i}"))?;
-        links.push(LinkState {
-            busy_until: Cycle::new(busy_until),
-            flits,
-        });
-    }
-    let mut latency = Vec::new();
-    for (i, sample) in array_field(value, "latency")?.iter().enumerate() {
-        latency.push(pair_u64(sample, &format!("network latency sample {i}"))?);
-    }
-    Ok(NetworkState {
-        links,
-        messages: u64_field(value, "messages")?,
-        control_messages: u64_field(value, "control_messages")?,
-        data_messages: u64_field(value, "data_messages")?,
-        flit_hops: u64_field(value, "flit_hops")?,
-        router_traversals: u64_field(value, "router_traversals")?,
-        latency,
-    })
 }
 
 impl EngineCheckpoint {
-    /// The checkpoint as a JSON document.  Numeric state round-trips exactly
-    /// through [`EngineCheckpoint::from_json`]; full-range `u64` words are
-    /// hex strings (see the module docs).
-    pub fn to_json(&self) -> JsonValue {
-        let tiles: Vec<JsonValue> = self
-            .tiles
-            .iter()
-            .map(|tile| {
-                JsonValue::object([
-                    ("clock", JsonValue::from(tile.clock.value())),
-                    (
-                        "l1i",
-                        cache_to_json(&tile.l1i, |s| JsonValue::from(s.to_string())),
-                    ),
-                    (
-                        "l1d",
-                        cache_to_json(&tile.l1d, |s| JsonValue::from(s.to_string())),
-                    ),
-                    ("llc", cache_to_json(&tile.llc, llc_entry_to_json)),
-                ])
-            })
-            .collect();
-        let dram: Vec<JsonValue> = self
-            .dram
-            .iter()
-            .map(|controller| {
-                JsonValue::Array(vec![
-                    JsonValue::from(controller.free_at.value()),
-                    JsonValue::from(controller.accesses),
-                    JsonValue::from(controller.busy_cycles),
-                ])
-            })
-            .collect();
-        let rng: Vec<JsonValue> = self.rng.iter().map(|word| hex(*word)).collect();
-        let energy = JsonValue::Object(
-            self.energy
-                .iter()
-                .map(|(component, pj)| (component.label().to_string(), JsonValue::from(pj)))
-                .collect(),
+    /// The binary body described in the module docs.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_str(&mut out, &self.benchmark);
+        put(&mut out, self.num_cores as u64);
+        put_str(&mut out, &self.scheme);
+        put(&mut out, u64::from(self.replication_threshold));
+        put(
+            &mut out,
+            self.classifier_capacity.map_or(0, |k| k as u64 + 1),
         );
-        let open_runs: Vec<JsonValue> = self
-            .run_lengths
-            .open_runs()
-            .iter()
-            .map(|(line, core, count, class)| {
-                JsonValue::Array(vec![
-                    hex(line.index()),
-                    JsonValue::from(core.index()),
-                    JsonValue::from(*count),
-                    JsonValue::from(class.label()),
-                ])
-            })
-            .collect();
-        let line_busy: Vec<JsonValue> = self
-            .line_busy_until
-            .iter()
-            .map(|(line, cycle)| {
-                JsonValue::Array(vec![hex(line.index()), JsonValue::from(cycle.value())])
-            })
-            .collect();
-        let consumed: Vec<JsonValue> = self.consumed.iter().map(|n| JsonValue::from(*n)).collect();
+
+        put(&mut out, self.tiles.len() as u64);
+        for tile in &self.tiles {
+            put(&mut out, tile.clock.value());
+            for l1 in [&tile.l1i, &tile.l1d] {
+                put_cache(&mut out, l1, |out, state| out.push(mesi_byte(*state)));
+            }
+            put_cache(&mut out, &tile.llc, put_llc_entry);
+        }
+
+        let network = &self.network;
+        put(&mut out, network.links.len() as u64);
+        for link in &network.links {
+            put_all(&mut out, [link.busy_until.value(), link.flits]);
+        }
+        put_all(
+            &mut out,
+            [
+                network.messages,
+                network.control_messages,
+                network.data_messages,
+                network.flit_hops,
+                network.router_traversals,
+            ],
+        );
+        put_histogram(&mut out, &network.latency);
+        put(&mut out, self.dram.len() as u64);
+        for controller in &self.dram {
+            put_all(
+                &mut out,
+                [
+                    controller.free_at.value(),
+                    controller.accesses,
+                    controller.busy_cycles,
+                ],
+            );
+        }
+
+        for word in self.rng {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        for (_, pj) in self.energy.iter() {
+            out.extend_from_slice(&pj.to_bits().to_le_bytes());
+        }
+        put_all(&mut out, self.latency.values());
+        let misses = &self.misses;
+        put_all(
+            &mut out,
+            [
+                misses.l1_hits,
+                misses.llc_replica_hits,
+                misses.llc_home_hits,
+                misses.offchip_misses,
+            ],
+        );
+
+        let histograms = self.run_lengths.histograms();
+        put(&mut out, histograms.len() as u64);
+        for (class, histogram) in histograms {
+            out.push(class_byte(*class));
+            put_histogram(&mut out, &histogram.iter().collect::<Vec<_>>());
+        }
+        let open_runs = self.run_lengths.open_runs();
+        put(&mut out, open_runs.len() as u64);
+        let mut line_at = 0;
+        for (line, core, count, class) in open_runs {
+            put_delta(&mut out, &mut line_at, line.index());
+            put_all(&mut out, [core.index() as u64, count]);
+            out.push(class_byte(class));
+        }
+        put(&mut out, self.line_busy_until.len() as u64);
+        let mut line_at = 0;
+        for (line, cycle) in &self.line_busy_until {
+            put_delta(&mut out, &mut line_at, line.index());
+            put(&mut out, cycle.value());
+        }
+
+        put_all(
+            &mut out,
+            [
+                self.replicas_created,
+                self.back_invalidations,
+                self.total_accesses,
+                self.classifier.mode_flips,
+                self.classifier.peak_tracked,
+            ],
+        );
+        put_all(&mut out, self.consumed.iter().copied());
+        out
+    }
+
+    /// The checkpoint as `{"format": 1, "bytes": "<hex>"}` — the binary
+    /// body of the module docs, hex-encoded.  Round-trips exactly through
+    /// [`EngineCheckpoint::from_json`].
+    pub fn to_json(&self) -> JsonValue {
         JsonValue::object([
-            ("benchmark", JsonValue::from(self.benchmark.as_str())),
-            ("num_cores", JsonValue::from(self.num_cores)),
-            ("scheme", JsonValue::from(self.scheme.as_str())),
+            ("format", JsonValue::from(FORMAT)),
             (
-                "replication_threshold",
-                JsonValue::from(self.replication_threshold),
+                "bytes",
+                JsonValue::from(lad_common::hex::encode(&self.encode())),
             ),
-            (
-                "classifier_capacity",
-                self.classifier_capacity
-                    .map_or(JsonValue::Null, JsonValue::from),
-            ),
-            ("tiles", JsonValue::Array(tiles)),
-            ("network", network_to_json(&self.network)),
-            ("dram", JsonValue::Array(dram)),
-            ("rng", JsonValue::Array(rng)),
-            ("energy", energy),
-            ("latency", self.latency.to_json()),
-            ("misses", self.misses.to_json()),
-            ("run_lengths", self.run_lengths.to_json()),
-            ("open_runs", JsonValue::Array(open_runs)),
-            ("line_busy_until", JsonValue::Array(line_busy)),
-            ("replicas_created", JsonValue::from(self.replicas_created)),
-            (
-                "back_invalidations",
-                JsonValue::from(self.back_invalidations),
-            ),
-            ("total_accesses", JsonValue::from(self.total_accesses)),
-            ("classifier", self.classifier.to_json()),
-            ("consumed", JsonValue::Array(consumed)),
         ])
     }
 
-    /// Rebuilds a checkpoint from [`EngineCheckpoint::to_json`] output.
+    /// Rebuilds a checkpoint from [`EngineCheckpoint::to_json`] output,
+    /// validating everything that needs no simulator geometry (see the
+    /// module docs); the rest is checked by [`Simulator::resume_source`].
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or mistyped field.
-    ///
-    /// # Panics
-    ///
-    /// Structurally valid documents whose state violates protocol invariants
-    /// (sharer lists over budget, duplicate classifier entries, …) panic in
-    /// the lower crates' validating constructors — see the module docs.
+    /// Returns a description of the first problem: a missing or unknown
+    /// `format`, bad hex, a truncated or overlong body, or state that
+    /// violates a protocol invariant.
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let replication_threshold = u64_field(value, "replication_threshold")? as u32;
-        let classifier_capacity = match value.get("classifier_capacity") {
-            None => return Err("checkpoint is missing \"classifier_capacity\"".to_string()),
-            Some(JsonValue::Null) => None,
-            Some(capacity) => Some(
-                capacity
-                    .as_u64()
-                    .ok_or("\"classifier_capacity\" must be null or a number")?
-                    as usize,
-            ),
-        };
-        let kind = match classifier_capacity {
-            None => ClassifierKind::Complete,
-            Some(k) => ClassifierKind::Limited(k),
-        };
-
-        let mut tiles = Vec::new();
-        for (i, tile) in array_field(value, "tiles")?.iter().enumerate() {
-            let l1i = tile
-                .get("l1i")
-                .ok_or_else(|| format!("tile {i} is missing \"l1i\""))?;
-            let l1d = tile
-                .get("l1d")
-                .ok_or_else(|| format!("tile {i} is missing \"l1d\""))?;
-            let llc = tile
-                .get("llc")
-                .ok_or_else(|| format!("tile {i} is missing \"llc\""))?;
-            tiles.push(TileCheckpoint {
-                clock: Cycle::new(u64_field(tile, "clock")?),
-                l1i: cache_from_json(l1i, &format!("tile {i} l1i"), mesi_from)?,
-                l1d: cache_from_json(l1d, &format!("tile {i} l1d"), mesi_from)?,
-                llc: cache_from_json(llc, &format!("tile {i} llc"), |entry, what| {
-                    llc_entry_from_json(entry, what, replication_threshold, kind)
-                })?,
-            });
+        match value.get("format").and_then(JsonValue::as_u64) {
+            Some(FORMAT) => {}
+            Some(other) => return Err(format!("unknown checkpoint format {other}")),
+            None => return Err("checkpoint has no numeric \"format\"".to_string()),
         }
-
-        let network = network_from_json(
-            value
-                .get("network")
-                .ok_or("checkpoint is missing the network state")?,
-        )?;
-
-        let mut dram = Vec::new();
-        for (i, controller) in array_field(value, "dram")?.iter().enumerate() {
-            let triple = controller.as_array().filter(|t| t.len() == 3);
-            let values = match triple {
-                Some([a, b, c]) => match (a.as_u64(), b.as_u64(), c.as_u64()) {
-                    (Some(a), Some(b), Some(c)) => Some((a, b, c)),
-                    _ => None,
-                },
-                _ => None,
-            };
-            let (free_at, accesses, busy_cycles) = values.ok_or_else(|| {
-                format!("dram controller {i} must be a [free_at, accesses, busy_cycles] triple")
-            })?;
-            dram.push(DramControllerState {
-                free_at: Cycle::new(free_at),
-                accesses,
-                busy_cycles,
-            });
+        let text = value
+            .get("bytes")
+            .and_then(JsonValue::as_str)
+            .ok_or("checkpoint has no \"bytes\" hex string")?;
+        let bytes =
+            lad_common::hex::decode(text).map_err(|err| format!("checkpoint bytes: {err}"))?;
+        let mut body = Body {
+            bytes: &bytes,
+            pos: 0,
+            tiles: 0,
+        };
+        let checkpoint = body.checkpoint()?;
+        match bytes.len() - body.pos {
+            0 => Ok(checkpoint),
+            extra => Err(format!("checkpoint body has {extra} trailing bytes")),
         }
+    }
+}
 
-        let rng_words = array_field(value, "rng")?;
-        if rng_words.len() != 4 {
+// ----- decoding -----------------------------------------------------------
+
+/// A cursor over a checkpoint body.  Every accessor names what it reads so
+/// errors say where the body went wrong.
+struct Body<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Tile count once known: every core index must fall below it.
+    tiles: usize,
+}
+
+impl Body<'_> {
+    fn u64(&mut self, what: &'static str) -> Result<u64, String> {
+        varint::decode_u64(self.bytes, &mut self.pos, what).map_err(|err| match err {
+            TraceError::Truncated { .. } => format!("checkpoint body ends inside {what}"),
+            _ => format!("checkpoint body has a malformed varint in {what}"),
+        })
+    }
+
+    fn int<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, String> {
+        let value = self.u64(what)?;
+        T::try_from(value).map_err(|_| format!("{what} {value} is out of range"))
+    }
+
+    /// An element count: every element takes at least one byte, so a count
+    /// beyond the remaining bytes is corrupt (and never allocated).
+    fn count(&mut self, what: &'static str) -> Result<usize, String> {
+        let count = self.u64(what)?;
+        let remaining = self.bytes.len() - self.pos;
+        if count > remaining as u64 {
             return Err(format!(
-                "rng state must have 4 words, not {}",
-                rng_words.len()
+                "{what} {count} exceeds the {remaining} bytes left in the checkpoint body"
             ));
         }
-        let mut rng = [0u64; 4];
-        for (slot, word) in rng.iter_mut().zip(rng_words) {
-            *slot = parse_hex(word, "rng word")?;
-        }
+        Ok(count as usize)
+    }
 
-        let energy_obj = value
-            .get("energy")
-            .and_then(JsonValue::as_object)
-            .ok_or("checkpoint is missing the energy breakdown")?;
-        let mut energy = EnergyAccounting::new();
-        for (label, pj) in energy_obj {
-            let component = Component::ALL
-                .iter()
+    /// A counted list of items.
+    fn list<T>(
+        &mut self,
+        what: &'static str,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let len = self.count(what)?;
+        (0..len).map(|_| item(self)).collect()
+    }
+
+    fn take(&mut self, len: usize, what: &'static str) -> Result<&[u8], String> {
+        let raw = self
+            .bytes
+            .get(self.pos..self.pos + len)
+            .ok_or_else(|| format!("checkpoint body ends inside {what}"))?;
+        self.pos += len;
+        Ok(raw)
+    }
+
+    fn byte(&mut self, what: &'static str) -> Result<u8, String> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    /// A raw little-endian `u64`.
+    fn word(&mut self, what: &'static str) -> Result<u64, String> {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(self.take(8, what)?);
+        Ok(u64::from_le_bytes(word))
+    }
+
+    /// The next value of a delta-coded sequence; `*at` holds the previous
+    /// value (`0` before the first).
+    fn delta(&mut self, at: &mut u64, what: &'static str) -> Result<u64, String> {
+        *at = varint::apply_delta(*at, varint::unzigzag(self.u64(what)?));
+        Ok(*at)
+    }
+
+    /// The next value of a strictly ascending delta-coded sequence; `*last`
+    /// holds the previous value (`None` before the first).
+    fn ascending(&mut self, last: &mut Option<u64>, what: &'static str) -> Result<u64, String> {
+        let mut at = last.unwrap_or(0);
+        let value = self.delta(&mut at, what)?;
+        if last.is_some_and(|last| value <= last) {
+            return Err(format!("{what} values are not strictly ascending"));
+        }
+        *last = Some(value);
+        Ok(value)
+    }
+
+    fn str(&mut self, what: &'static str) -> Result<String, String> {
+        let len = self.count(what)?;
+        String::from_utf8(self.take(len, what)?.to_vec())
+            .map_err(|_| format!("{what} is not UTF-8"))
+    }
+
+    fn core(&mut self, what: &'static str) -> Result<CoreId, String> {
+        let index = self.u64(what)?;
+        if index >= self.tiles as u64 || index > u64::from(u16::MAX) {
+            return Err(format!(
+                "{what} {index} is not one of the {} tiles",
+                self.tiles
+            ));
+        }
+        Ok(CoreId::new(index as usize))
+    }
+
+    fn mesi(&mut self, what: &'static str) -> Result<MesiState, String> {
+        let byte = self.byte(what)?;
+        MESI.get(usize::from(byte))
+            .copied()
+            .ok_or_else(|| format!("{what} {byte} is not a MESI state"))
+    }
+
+    fn class(&mut self, what: &'static str) -> Result<DataClass, String> {
+        let byte = self.byte(what)?;
+        DataClass::ALL
+            .get(usize::from(byte))
+            .copied()
+            .ok_or_else(|| format!("{what} {byte} is not a data class"))
+    }
+
+    /// Histogram samples: strictly ascending values, positive counts whose
+    /// total fits a `u64`.
+    fn histogram(&mut self, what: &'static str) -> Result<Vec<(u64, u64)>, String> {
+        let (mut last, mut total) = (None, 0u64);
+        self.list(what, |body| {
+            let value = body.ascending(&mut last, what)?;
+            let count = body.u64(what)?;
+            total = total
+                .checked_add(count)
+                .filter(|_| count > 0)
+                .ok_or_else(|| format!("{what} has a zero or overflowing count"))?;
+            Ok((value, count))
+        })
+    }
+
+    fn cache<V>(
+        &mut self,
+        what: &'static str,
+        mut entry: impl FnMut(&mut Self) -> Result<V, String>,
+    ) -> Result<CacheState<V>, String> {
+        let clock = self.u64(what)?;
+        let (hits, misses, evictions) = (self.u64(what)?, self.u64(what)?, self.u64(what)?);
+        let (mut slot_at, mut tag_at) = (None, 0);
+        let slots = self.list(what, |body| {
+            let slot = body.ascending(&mut slot_at, what)?;
+            let slot = usize::try_from(slot).map_err(|_| format!("{what} slot is out of range"))?;
+            let tag = body.delta(&mut tag_at, what)?;
+            let stamp = body.u64(what)?;
+            if stamp == 0 || stamp > clock {
+                return Err(format!(
+                    "{what} slot {slot} has stamp {stamp} outside 1..={clock}"
+                ));
+            }
+            Ok((slot, tag, stamp, entry(body)?))
+        })?;
+        Ok(CacheState {
+            slots,
+            clock,
+            hits,
+            misses,
+            evictions,
+        })
+    }
+
+    fn llc_entry(&mut self, rt: u32, kind: ClassifierKind) -> Result<LlcEntry, String> {
+        let flags = self.byte("LLC entry flags")?;
+        let dirty = flags & DIRTY != 0;
+        if flags & REPLICA != 0 {
+            let state = MESI
+                .get(usize::from(flags >> STATE_SHIFT))
                 .copied()
-                .find(|c| c.label() == label)
-                .ok_or_else(|| format!("unknown energy component {label:?}"))?;
-            let pj = pj
-                .as_f64()
-                .filter(|pj| *pj >= 0.0)
-                .ok_or_else(|| format!("energy of {label:?} must be a non-negative number"))?;
+                .filter(|_| flags & GLOBAL == 0)
+                .ok_or_else(|| format!("replica flags {flags:#x} are not a replica's"))?;
+            let reuse = self.int("replica reuse")?;
+            if reuse > rt {
+                return Err(format!("replica reuse {reuse} exceeds RT {rt}"));
+            }
+            return Ok(LlcEntry::Replica(ReplicaEntry {
+                state,
+                reuse: SaturatingCounter::with_value(rt, reuse),
+                l1_copy: flags & OWNER_OR_L1_COPY != 0,
+                dirty,
+            }));
+        }
+        if flags >> STATE_SHIFT != 0 {
+            return Err(format!("home flags {flags:#x} set replica bits"));
+        }
+        let owner = match flags & OWNER_OR_L1_COPY {
+            0 => None,
+            _ => Some(self.core("home owner")?),
+        };
+        let max_pointers: usize = self.int("ACKwise pointer budget")?;
+        let tracked = self.list("tracked sharers", |body| body.core("tracked sharer"))?;
+        if max_pointers == 0 || tracked.len() > max_pointers || has_duplicates(&tracked) {
+            return Err(format!(
+                "tracked sharers {tracked:?} do not fit a {max_pointers}-pointer budget"
+            ));
+        }
+        let global = flags & GLOBAL != 0;
+        let count = if global {
+            self.int("global sharer count")?
+        } else {
+            tracked.len()
+        };
+        if global && count <= tracked.len() {
+            return Err(format!(
+                "global sharer count {count} fits the {} tracked pointers",
+                tracked.len()
+            ));
+        }
+        if owner.is_some_and(|owner| global || tracked != [owner]) {
+            return Err(format!("owner {owner:?} is not the sole tracked sharer"));
+        }
+        let entries = self.list("classifier entries", |body| {
+            let core = body.core("classifier core")?;
+            let flags = body.byte("classifier flags")?;
+            let home_reuse = body.int("classifier reuse")?;
+            if flags > (MODE_REPLICA | ACTIVE) || home_reuse > rt {
+                return Err(format!(
+                    "classifier entry of {core:?} has flags {flags:#x} and reuse {home_reuse} (RT {rt})"
+                ));
+            }
+            Ok(TrackedCore {
+                core,
+                mode: if flags & MODE_REPLICA != 0 {
+                    ReplicationMode::Replica
+                } else {
+                    ReplicationMode::NonReplica
+                },
+                home_reuse,
+                active: flags & ACTIVE != 0,
+            })
+        })?;
+        let cores: Vec<CoreId> = entries.iter().map(|entry| entry.core).collect();
+        if kind.capacity().is_some_and(|k| entries.len() > k) || has_duplicates(&cores) {
+            return Err(format!("classifier cores {cores:?} do not fit {kind:?}"));
+        }
+        let sharers = AckwiseSharers::from_parts(max_pointers, &tracked, global, count);
+        Ok(LlcEntry::Home(HomeEntry {
+            directory: DirectoryEntry::from_parts(sharers, owner),
+            classifier: LocalityClassifier::from_snapshot(kind, rt, &entries),
+            dirty,
+        }))
+    }
+
+    fn checkpoint(&mut self) -> Result<EngineCheckpoint, String> {
+        let benchmark = self.str("benchmark name")?;
+        let num_cores: usize = self.int("active cores")?;
+        let scheme = self.str("scheme label")?;
+        let rt: u32 = self.int("replication threshold")?;
+        let classifier_capacity = match self.int::<usize>("classifier capacity")? {
+            0 => None,
+            k => Some(k - 1),
+        };
+        if rt == 0 || classifier_capacity == Some(0) {
+            return Err(format!(
+                "RT {rt} and classifier capacity {classifier_capacity:?} must be positive"
+            ));
+        }
+        let kind = classifier_capacity.map_or(ClassifierKind::Complete, ClassifierKind::Limited);
+
+        self.tiles = self.count("tile count")?;
+        if num_cores > self.tiles {
+            return Err(format!(
+                "{num_cores} active cores exceed the {} tiles",
+                self.tiles
+            ));
+        }
+        let tiles = (0..self.tiles)
+            .map(|_| {
+                Ok(TileCheckpoint {
+                    clock: Cycle::new(self.u64("tile clock")?),
+                    l1i: self.cache("L1-I", |body| body.mesi("L1-I state"))?,
+                    l1d: self.cache("L1-D", |body| body.mesi("L1-D state"))?,
+                    llc: self.cache("LLC", |body| body.llc_entry(rt, kind))?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+
+        let network = NetworkState {
+            links: self.list("links", |body| {
+                Ok(LinkState {
+                    busy_until: Cycle::new(body.u64("link horizon")?),
+                    flits: body.u64("link flits")?,
+                })
+            })?,
+            messages: self.u64("network messages")?,
+            control_messages: self.u64("network control messages")?,
+            data_messages: self.u64("network data messages")?,
+            flit_hops: self.u64("network flit hops")?,
+            router_traversals: self.u64("network router traversals")?,
+            latency: self.histogram("network latency")?,
+        };
+        let dram = self.list("DRAM controllers", |body| {
+            Ok(DramControllerState {
+                free_at: Cycle::new(body.u64("DRAM horizon")?),
+                accesses: body.u64("DRAM accesses")?,
+                busy_cycles: body.u64("DRAM busy cycles")?,
+            })
+        })?;
+
+        let mut rng = [0u64; 4];
+        for word in &mut rng {
+            *word = self.word("RNG state")?;
+        }
+        if rng == [0; 4] {
+            return Err("the all-zero RNG state is not a valid xoshiro256++ state".to_string());
+        }
+        let mut energy = EnergyAccounting::new();
+        for component in Component::ALL {
+            let pj = f64::from_bits(self.word("energy")?);
+            if !(pj.is_finite() && pj >= 0.0) {
+                return Err(format!("energy of {component} is {pj}"));
+            }
             energy.record(component, pj);
         }
-
-        let mut run_lengths = RunLengthProfile::from_json(
-            value
-                .get("run_lengths")
-                .ok_or("checkpoint is missing the run-length profile")?,
-        )?;
-        for (i, run) in array_field(value, "open_runs")?.iter().enumerate() {
-            let quad = run.as_array().filter(|q| q.len() == 4);
-            let Some([line, core, count, class]) = quad else {
-                return Err(format!(
-                    "open run {i} must be a [line, core, length, class] quad"
-                ));
-            };
-            run_lengths.restore_open_run(
-                CacheLine::from_index(parse_hex(line, &format!("open run {i} line"))?),
-                core_from(core, &format!("open run {i} core"))?,
-                count
-                    .as_u64()
-                    .ok_or_else(|| format!("open run {i}: length must be a number"))?,
-                class_from(class, &format!("open run {i} class"))?,
-            );
+        let mut latency = [0u64; 7];
+        for value in &mut latency {
+            *value = self.u64("latency breakdown")?;
         }
+        let misses = MissBreakdown {
+            l1_hits: self.u64("miss breakdown")?,
+            llc_replica_hits: self.u64("miss breakdown")?,
+            llc_home_hits: self.u64("miss breakdown")?,
+            offchip_misses: self.u64("miss breakdown")?,
+        };
 
-        let mut line_busy_until = Vec::new();
-        for (i, entry) in array_field(value, "line_busy_until")?.iter().enumerate() {
-            let pair = entry.as_array().filter(|p| p.len() == 2);
-            let Some([line, cycle]) = pair else {
-                return Err(format!(
-                    "line_busy_until entry {i} must be a [line, cycle] pair"
-                ));
-            };
-            line_busy_until.push((
-                CacheLine::from_index(parse_hex(line, &format!("line_busy_until entry {i}"))?),
-                Cycle::new(
-                    cycle.as_u64().ok_or_else(|| {
-                        format!("line_busy_until entry {i}: cycle must be a number")
-                    })?,
-                ),
-            ));
+        let mut run_lengths = RunLengthProfile::new();
+        let mut last_class = None;
+        for (class, samples) in self.list("run-length classes", |body| {
+            let class = body.class("run-length class")?;
+            if last_class.is_some_and(|last| class <= last) {
+                return Err("run-length classes are not strictly ascending".to_string());
+            }
+            last_class = Some(class);
+            Ok((class, body.histogram("run lengths")?))
+        })? {
+            let mut histogram = Histogram::new();
+            for (value, count) in samples {
+                histogram.record_weighted(value, count);
+            }
+            run_lengths.restore_histogram(class, histogram);
         }
-
-        let mut consumed = Vec::new();
-        for (i, count) in array_field(value, "consumed")?.iter().enumerate() {
-            consumed.push(
-                count
-                    .as_u64()
-                    .ok_or_else(|| format!("consumed[{i}] must be a number"))?,
-            );
+        let mut last_line = None;
+        for (line, core, count, class) in self.list("open runs", |body| {
+            Ok((
+                body.ascending(&mut last_line, "open-run line")?,
+                body.core("open-run core")?,
+                body.u64("open-run length")?,
+                body.class("open-run class")?,
+            ))
+        })? {
+            if count == 0 {
+                return Err(format!("open run on line {line:#x} is empty"));
+            }
+            run_lengths.restore_open_run(CacheLine::from_index(line), core, count, class);
         }
+        let mut last_line = None;
+        let line_busy_until = self.list("busy lines", |body| {
+            Ok((
+                CacheLine::from_index(body.ascending(&mut last_line, "busy line")?),
+                Cycle::new(body.u64("busy horizon")?),
+            ))
+        })?;
 
         Ok(EngineCheckpoint {
-            benchmark: str_field(value, "benchmark")?,
-            num_cores: u64_field(value, "num_cores")? as usize,
-            scheme: str_field(value, "scheme")?,
-            replication_threshold,
+            benchmark,
+            num_cores,
+            scheme,
+            replication_threshold: rt,
             classifier_capacity,
             tiles,
             network,
             dram,
             rng,
             energy,
-            latency: LatencyBreakdown::from_json(
-                value
-                    .get("latency")
-                    .ok_or("checkpoint is missing the latency breakdown")?,
-            )?,
-            misses: MissBreakdown::from_json(
-                value
-                    .get("misses")
-                    .ok_or("checkpoint is missing the miss breakdown")?,
-            )?,
+            latency: LatencyBreakdown::from_values(latency),
+            misses,
             run_lengths,
             line_busy_until,
-            replicas_created: u64_field(value, "replicas_created")?,
-            back_invalidations: u64_field(value, "back_invalidations")?,
-            total_accesses: u64_field(value, "total_accesses")?,
-            classifier: ClassifierStats::from_json(
-                value
-                    .get("classifier")
-                    .ok_or("checkpoint is missing the classifier variance totals")?,
-            )?,
-            consumed,
+            replicas_created: self.u64("replicas created")?,
+            back_invalidations: self.u64("back-invalidations")?,
+            total_accesses: self.u64("total accesses")?,
+            classifier: ClassifierStats {
+                mode_flips: self.u64("classifier mode flips")?,
+                peak_tracked: self.u64("classifier peak")?,
+            },
+            consumed: (0..num_cores)
+                .map(|_| self.u64("stream cursor"))
+                .collect::<Result<_, _>>()?,
         })
     }
+}
+
+fn has_duplicates(cores: &[CoreId]) -> bool {
+    cores
+        .iter()
+        .enumerate()
+        .any(|(i, core)| cores[..i].contains(core))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{RunOutcome, StopAfter};
     use crate::Simulator;
     use lad_common::config::SystemConfig;
     use lad_replication::config::ReplicationConfig;
     use lad_trace::benchmarks::Benchmark;
-    use lad_trace::generator::TraceGenerator;
+    use lad_trace::generator::{TraceGenerator, WorkloadTrace};
     use lad_traceio::source::MemorySource;
 
-    fn captured_checkpoint() -> EngineCheckpoint {
-        let trace = TraceGenerator::new(Benchmark::Barnes.profile()).generate(16, 400, 7);
-        let mut sim = Simulator::new(
-            SystemConfig::small_test(),
-            ReplicationConfig::locality_aware(3),
-        );
-        let mut source = MemorySource::new(&trace);
-        let mut stop = crate::engine::StopAfter::new(200);
+    fn trace(accesses_per_core: usize) -> WorkloadTrace {
+        TraceGenerator::new(Benchmark::Barnes.profile()).generate(16, accesses_per_core, 7)
+    }
+
+    /// The checkpoint `sim` takes after `stop_after` accesses of `trace`.
+    fn checkpoint_after(
+        sim: &mut Simulator,
+        trace: &WorkloadTrace,
+        stop_after: u64,
+    ) -> EngineCheckpoint {
+        let mut source = MemorySource::new(trace);
+        let mut stop = StopAfter::new(stop_after);
         match sim.run_source_observed(&mut source, Some(&mut stop)) {
-            Ok(crate::engine::RunOutcome::Cancelled(checkpoint)) => *checkpoint,
+            Ok(RunOutcome::Cancelled(checkpoint)) => *checkpoint,
             other => panic!("expected a cancelled run, got {other:?}"),
         }
+    }
+
+    fn captured_checkpoint() -> EngineCheckpoint {
+        let config = ReplicationConfig::locality_aware(3);
+        let mut sim = Simulator::new(SystemConfig::small_test(), config);
+        checkpoint_after(&mut sim, &trace(400), 200)
+    }
+
+    /// The binary body of a checkpoint document.
+    fn body(json: &JsonValue) -> Vec<u8> {
+        let hex = json.get("bytes").and_then(JsonValue::as_str).unwrap();
+        lad_common::hex::decode(hex).unwrap()
+    }
+
+    /// The checkpoint document carrying `bytes` as its body.
+    fn document(bytes: &[u8]) -> JsonValue {
+        JsonValue::object([
+            ("format", JsonValue::from(FORMAT)),
+            ("bytes", JsonValue::from(lad_common::hex::encode(bytes))),
+        ])
     }
 
     #[test]
@@ -737,8 +948,8 @@ mod tests {
         assert_eq!(reparsed, json);
         let decoded = EngineCheckpoint::from_json(&reparsed).unwrap();
         // Re-encoding the decoded checkpoint must reproduce the document
-        // byte-for-byte: the JSON form is canonical (sorted open runs and
-        // busy lines, hex words, exact floats), so equality here covers
+        // byte-for-byte: the body is canonical (sorted open runs and busy
+        // lines, raw RNG words and energy bits), so equality here covers
         // every field — cache slots, RNG words, energy totals, cursors.
         assert_eq!(decoded.to_json().pretty(), text);
         assert_eq!(decoded.consumed, checkpoint.consumed);
@@ -746,30 +957,114 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_missing_fields() {
+    fn from_json_rejects_truncated_blobs_bad_hex_and_unknown_formats() {
         let json = captured_checkpoint().to_json();
-        let JsonValue::Object(pairs) = &json else {
-            panic!("checkpoint JSON must be an object");
-        };
-        for i in 0..pairs.len() {
-            let mut broken = pairs.clone();
-            broken.remove(i);
+        let hex = json.get("bytes").and_then(JsonValue::as_str).unwrap();
+        let bytes = body(&json);
+        assert!(EngineCheckpoint::from_json(&document(&bytes)).is_ok());
+
+        // Truncated blobs, cut anywhere, and a trailing byte.
+        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                EngineCheckpoint::from_json(&JsonValue::Object(broken)).is_err(),
-                "dropping field {} must fail",
-                pairs[i].0
+                EngineCheckpoint::from_json(&document(&bytes[..cut])).is_err(),
+                "cut at {cut}"
             );
         }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        let err = EngineCheckpoint::from_json(&document(&longer)).unwrap_err();
+        assert!(err.contains("trailing"), "{err}");
+
+        // Bad hex: a non-digit, and an odd digit count.
+        let with_bytes = |text: String| {
+            JsonValue::object([
+                ("format", JsonValue::from(FORMAT)),
+                ("bytes", JsonValue::from(text)),
+            ])
+        };
+        let garbled = format!("zz{}", &hex[2..]);
+        let err = EngineCheckpoint::from_json(&with_bytes(garbled)).unwrap_err();
+        assert!(err.contains("non-hex"), "{err}");
+        let odd = hex[..hex.len() - 1].to_string();
+        let err = EngineCheckpoint::from_json(&with_bytes(odd)).unwrap_err();
+        assert!(err.contains("even number"), "{err}");
+
+        // Unknown or missing formats — including the all-JSON checkpoints
+        // written before the binary body — are rejected, never guessed at.
+        for format in [
+            JsonValue::from(0u64),
+            JsonValue::from(2u64),
+            JsonValue::from("1"),
+        ] {
+            let doc =
+                JsonValue::object([("format", format.clone()), ("bytes", JsonValue::from(hex))]);
+            assert!(EngineCheckpoint::from_json(&doc).is_err(), "{format}");
+        }
+        let legacy = JsonValue::object([
+            ("benchmark", JsonValue::from("BARNES")),
+            ("num_cores", JsonValue::from(16u64)),
+        ]);
+        assert!(EngineCheckpoint::from_json(&legacy).is_err());
+        let no_bytes = JsonValue::object([("format", JsonValue::from(FORMAT))]);
+        assert!(EngineCheckpoint::from_json(&no_bytes).is_err());
         assert!(EngineCheckpoint::from_json(&JsonValue::Null).is_err());
     }
 
     #[test]
-    fn hex_encoding_preserves_full_range_words() {
-        for word in [0u64, 1, u64::MAX, 0xdead_beef_cafe_f00d, 1 << 53] {
-            let encoded = hex(word);
-            assert_eq!(parse_hex(&encoded, "word"), Ok(word));
+    fn every_prefix_and_byte_flip_resumes_or_errors_never_panics() {
+        // Checkpoints come from outside the process: whatever a torn or
+        // bit-rotted body decodes to must end in `Ok` or a typed `Err` from
+        // `from_json` or `resume_source`, never in a panic.  Small LLC
+        // slices keep the body (and every resume) short.
+        let mut system = SystemConfig::small_test();
+        system.llc_slice.capacity_bytes = 8 * 1024;
+        let mut sim = Simulator::new(system, ReplicationConfig::locality_aware(3));
+        let trace = trace(12);
+        let bytes = body(&checkpoint_after(&mut sim, &trace, 120).to_json());
+        // Whether the body resumed; `Err` if decoding or resuming panicked.
+        let mut resume = |bytes: &[u8]| -> std::thread::Result<bool> {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let Ok(checkpoint) = EngineCheckpoint::from_json(&document(bytes)) else {
+                    return false;
+                };
+                let mut source = MemorySource::new(&trace);
+                sim.resume_source(&mut source, &checkpoint, None).is_ok()
+            }))
+        };
+        assert!(matches!(resume(&bytes), Ok(true)));
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(resume(&bytes[..cut]), Ok(false)),
+                "prefix of {cut} bytes"
+            );
         }
-        assert!(parse_hex(&JsonValue::from("123"), "word").is_err());
-        assert!(parse_hex(&JsonValue::from(123u64), "word").is_err());
+        let mut resumed = 0;
+        for offset in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[offset] ^= 1 << (offset % 8);
+            let Ok(ok) = resume(&flipped) else {
+                panic!("flipping bit {} of byte {offset} panicked", offset % 8);
+            };
+            resumed += usize::from(ok);
+        }
+        // Both paths ran: flips in counters and clocks resume, flips in
+        // structure are rejected.
+        assert!(0 < resumed && resumed < bytes.len(), "{resumed} resumed");
+    }
+
+    #[test]
+    fn hex_encoding_preserves_full_range_words() {
+        // RNG words and line indices use the full u64 range, beyond the
+        // 2^53 a JSON number holds exactly; the hex-carried body keeps them.
+        let mut checkpoint = captured_checkpoint();
+        let words = [u64::MAX, 1 << 53, 0xdead_beef_cafe_f00d, 1];
+        checkpoint.rng = words;
+        checkpoint
+            .line_busy_until
+            .push((CacheLine::from_index(u64::MAX), Cycle::new(u64::MAX)));
+        let decoded = EngineCheckpoint::from_json(&checkpoint.to_json()).unwrap();
+        assert_eq!(decoded.rng, words);
+        assert_eq!(decoded.line_busy_until, checkpoint.line_busy_until);
+        assert_eq!(decoded.to_json().pretty(), checkpoint.to_json().pretty());
     }
 }

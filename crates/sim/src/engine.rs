@@ -32,7 +32,7 @@ use lad_trace::generator::WorkloadTrace;
 use lad_traceio::error::TraceError;
 use lad_traceio::source::{MemorySource, TraceSource};
 
-use crate::checkpoint::{EngineCheckpoint, TileCheckpoint};
+use crate::checkpoint::{EngineCheckpoint, ResumeError, TileCheckpoint};
 use crate::metrics::{
     ClassifierStats, LatencyBreakdown, MissBreakdown, RunLengthProfile, SimulationReport,
 };
@@ -686,53 +686,110 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// As for [`Simulator::run_source`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint does not match the source (benchmark name,
-    /// core count) or this simulator (scheme label, replication threshold,
-    /// classifier organization, tile geometry), or if the stream is shorter
-    /// than the checkpoint's cursor.
+    /// [`ResumeError::Rejected`] — before any state is touched — if the
+    /// checkpoint does not fit the source (benchmark name, core count) or
+    /// this simulator (scheme label, replication threshold, classifier
+    /// organization, tile, link and controller counts, cache geometry); after
+    /// the profiling pass if the restored state violates the protocol
+    /// invariant catalog or the stream is shorter than the checkpoint's
+    /// cursor; [`ResumeError::Trace`] for anything [`Simulator::run_source`]
+    /// can fail with.
     pub fn resume_source(
         &mut self,
         source: &mut dyn TraceSource,
         checkpoint: &EngineCheckpoint,
         observer: Option<&mut dyn RunObserver>,
-    ) -> Result<RunOutcome, TraceError> {
+    ) -> Result<RunOutcome, ResumeError> {
         let name = source.name().to_string();
         let num_cores = source.num_cores();
         if num_cores > self.system.num_cores {
-            return Err(TraceError::CoreCountExceeded {
+            return Err(ResumeError::Trace(TraceError::CoreCountExceeded {
                 trace_cores: num_cores,
                 limit: self.system.num_cores,
-            });
+            }));
         }
-        assert_eq!(
-            checkpoint.benchmark, name,
-            "checkpoint was captured on a different benchmark"
-        );
-        assert_eq!(
-            checkpoint.num_cores, num_cores,
-            "checkpoint was captured on a stream with a different core count"
-        );
+        self.check_checkpoint_fits(checkpoint, &name, num_cores)
+            .map_err(ResumeError::Rejected)?;
         self.begin(&name, num_cores);
         self.profile_source(source)?;
         source.rewind()?;
         self.restore_from_checkpoint(checkpoint);
+        if let Some(violation) = self.check_protocol_invariants().first() {
+            return Err(ResumeError::Rejected(format!(
+                "restored state violates [{}]: {}",
+                violation.invariant, violation.details
+            )));
+        }
         // Fast-forward every core's stream past the accesses it has already
         // stepped; the remaining per-core suffixes are exactly the pending
         // windows the interrupted loop still had to execute.
-        for core in 0..num_cores {
-            for _ in 0..checkpoint.consumed[core] {
-                let replayed = source.next_for_core(CoreId::new(core))?;
-                assert!(
-                    replayed.is_some(),
-                    "stream for core {core} is shorter than the checkpoint cursor"
-                );
+        for (core, &cursor) in checkpoint.consumed.iter().enumerate() {
+            for _ in 0..cursor {
+                if source.next_for_core(CoreId::new(core))?.is_none() {
+                    return Err(ResumeError::Rejected(format!(
+                        "stream for core {core} is shorter than the checkpoint cursor {cursor}"
+                    )));
+                }
             }
         }
-        self.execute_source(source, num_cores, checkpoint.consumed.clone(), observer)
+        Ok(self.execute_source(source, num_cores, checkpoint.consumed.clone(), observer)?)
+    }
+
+    /// The checks [`Simulator::resume_source`] makes against the source and
+    /// this simulator before restoring anything; together with the
+    /// geometry-free checks of [`EngineCheckpoint::from_json`] they keep
+    /// every restore constructor below from panicking.
+    fn check_checkpoint_fits(
+        &self,
+        checkpoint: &EngineCheckpoint,
+        benchmark: &str,
+        num_cores: usize,
+    ) -> Result<(), String> {
+        let differs = |what: &str, theirs: &dyn std::fmt::Debug, ours: &dyn std::fmt::Debug| {
+            Err(format!(
+                "checkpoint was captured with {what} {theirs:?}, this run has {ours:?}"
+            ))
+        };
+        if checkpoint.benchmark != benchmark {
+            return differs("benchmark", &checkpoint.benchmark, &benchmark);
+        }
+        if checkpoint.num_cores != num_cores || checkpoint.consumed.len() != num_cores {
+            return differs("active cores", &checkpoint.consumed.len(), &num_cores);
+        }
+        if checkpoint.scheme != self.label {
+            return differs("scheme", &checkpoint.scheme, &self.label);
+        }
+        let rt = self.replication.replication_threshold;
+        if checkpoint.replication_threshold != rt {
+            return differs("RT", &checkpoint.replication_threshold, &rt);
+        }
+        let capacity = self.replication.classifier.capacity();
+        if checkpoint.classifier_capacity != capacity {
+            return differs(
+                "classifier capacity",
+                &checkpoint.classifier_capacity,
+                &capacity,
+            );
+        }
+        if checkpoint.tiles.len() != self.tiles.len() {
+            return differs("tiles", &checkpoint.tiles.len(), &self.tiles.len());
+        }
+        let links = self.network.mesh().num_links();
+        if checkpoint.network.links.len() != links {
+            return differs("links", &checkpoint.network.links.len(), &links);
+        }
+        let controllers = self.dram.num_controllers();
+        if checkpoint.dram.len() != controllers {
+            return differs("DRAM controllers", &checkpoint.dram.len(), &controllers);
+        }
+        for (core, (tile, snapshot)) in self.tiles.iter().zip(&checkpoint.tiles).enumerate() {
+            tile.l1i
+                .check_state(&snapshot.l1i)
+                .and_then(|()| tile.l1d.check_state(&snapshot.l1d))
+                .and_then(|()| tile.llc.check_state(&snapshot.llc))
+                .map_err(|why| format!("tile {core}: {why}"))?;
+        }
+        Ok(())
     }
 
     /// The profiling pass shared by [`Simulator::run_source_observed`] and
@@ -920,44 +977,12 @@ impl Simulator {
         }
     }
 
-    /// Restores every piece of mutable state from a checkpoint captured on
-    /// the same configuration.  Call after [`Simulator::begin`] and the
-    /// profiling pass — the home map and per-line classes are rebuilt by
-    /// profiling, not restored (see [`EngineCheckpoint`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint does not match this simulator's benchmark,
-    /// scheme, replication parameters or geometry; the lower crates'
-    /// validating restore constructors additionally reject state that
-    /// violates protocol invariants.
-    pub fn restore_from_checkpoint(&mut self, checkpoint: &EngineCheckpoint) {
-        assert_eq!(
-            checkpoint.benchmark, self.benchmark,
-            "checkpoint was captured on a different benchmark"
-        );
-        assert_eq!(
-            checkpoint.num_cores, self.active_cores,
-            "checkpoint was captured with a different active-core count"
-        );
-        assert_eq!(
-            checkpoint.scheme, self.label,
-            "checkpoint was captured under a different scheme"
-        );
-        assert_eq!(
-            checkpoint.replication_threshold, self.replication.replication_threshold,
-            "checkpoint was captured under a different replication threshold"
-        );
-        assert_eq!(
-            checkpoint.classifier_capacity,
-            self.replication.classifier.capacity(),
-            "checkpoint was captured under a different classifier organization"
-        );
-        assert_eq!(
-            checkpoint.tiles.len(),
-            self.tiles.len(),
-            "checkpoint was captured on a system with a different tile count"
-        );
+    /// Restores every piece of mutable state from a checkpoint that
+    /// [`Simulator::check_checkpoint_fits`] accepted.  Called after
+    /// [`Simulator::begin`] and the profiling pass — the home map and
+    /// per-line classes are rebuilt by profiling, not restored (see
+    /// [`EngineCheckpoint`]).
+    fn restore_from_checkpoint(&mut self, checkpoint: &EngineCheckpoint) {
         for (tile, snapshot) in self.tiles.iter_mut().zip(&checkpoint.tiles) {
             tile.clock = snapshot.clock;
             tile.l1i.restore_state(&snapshot.l1i);
@@ -1977,41 +2002,72 @@ mod tests {
 
     #[test]
     fn cancel_checkpoint_resume_matches_straight_run() {
-        // The tentpole equivalence: step → checkpoint → resume on a FRESH
-        // simulator must produce a report byte-identical to the straight run,
-        // across schemes (including ASR, which consumes the RNG).
-        for config in [
-            ReplicationConfig::locality_aware(3),
-            ReplicationConfig::static_nuca(),
-            ReplicationConfig::asr(0.5),
-        ] {
-            let trace = small_trace(Benchmark::Barnes, 600, 42);
+        // The tentpole equivalence: step → checkpoint → spill → resume on a
+        // FRESH simulator must produce a report byte-identical to the
+        // straight run, for every SCHEME_ORDER column (ASR consumes the RNG,
+        // VR and RT-k create replicas).
+        use crate::experiment::SchemeComparison;
+
+        // PATRICIA's widely read lines overflow ACKwise_4 into broadcast mode.
+        let trace = small_trace(Benchmark::Patricia, 600, 42);
+        let (mut replicas, mut broadcast_lists, mut limited_3) = (0, 0, 0);
+        for scheme in SchemeComparison::SCHEME_ORDER {
+            let config = match scheme {
+                SchemeId::StaticNuca => ReplicationConfig::static_nuca(),
+                SchemeId::ReactiveNuca => ReplicationConfig::reactive_nuca(),
+                SchemeId::VictimReplication => ReplicationConfig::victim_replication(),
+                SchemeId::Asr => ReplicationConfig::asr(0.5),
+                SchemeId::Rt(rt) => ReplicationConfig::locality_aware(rt),
+                other => panic!("no built-in configuration for {other}"),
+            };
             let mut straight = Simulator::new(SystemConfig::small_test(), config.clone());
             let expected = straight.run(&trace);
 
             let mut first = Simulator::new(SystemConfig::small_test(), config.clone());
             let mut source = MemorySource::new(&trace);
-            let mut stop = StopAfter::new(250);
+            let mut stop = StopAfter::new(6000);
             let checkpoint = match first.run_source_observed(&mut source, Some(&mut stop)) {
                 Ok(RunOutcome::Cancelled(checkpoint)) => checkpoint,
-                other => panic!("expected cancellation, got {other:?}"),
+                other => panic!("{scheme}: expected cancellation, got {other:?}"),
             };
-            assert_eq!(checkpoint.total_accesses, 250);
-            assert_eq!(checkpoint.consumed.iter().sum::<u64>(), 250);
+            assert_eq!(checkpoint.total_accesses, 6000);
+            assert_eq!(checkpoint.consumed.iter().sum::<u64>(), 6000);
 
-            // Spill through JSON, as the service does, then resume elsewhere.
+            // Spill as the service does, then resume elsewhere.
             let spilled = checkpoint.to_json().pretty();
             let reloaded =
                 EngineCheckpoint::from_json(&lad_common::json::JsonValue::parse(&spilled).unwrap())
                     .unwrap();
+            for (_, _, _, entry) in reloaded.tiles.iter().flat_map(|tile| &tile.llc.slots) {
+                match entry {
+                    LlcEntry::Replica(_) => replicas += 1,
+                    LlcEntry::Home(home) => {
+                        broadcast_lists += usize::from(home.directory.sharers().is_global());
+                        limited_3 += usize::from(
+                            home.classifier.capacity() == Some(3)
+                                && home.classifier.tracked_count() == 3,
+                        );
+                    }
+                }
+            }
             let mut resumed = Simulator::new(SystemConfig::small_test(), config);
             let mut source = MemorySource::new(&trace);
             let report = match resumed.resume_source(&mut source, &reloaded, None) {
                 Ok(RunOutcome::Completed(report)) => *report,
-                other => panic!("expected completion, got {other:?}"),
+                other => panic!("{scheme}: expected completion, got {other:?}"),
             };
-            assert_eq!(format!("{report:?}"), format!("{expected:?}"));
+            assert_eq!(format!("{report:?}"), format!("{expected:?}"), "{scheme}");
         }
+        // Every LLC entry kind the codec writes went through the spill.
+        assert!(replicas > 0, "no replica entry was checkpointed");
+        assert!(
+            broadcast_lists > 0,
+            "no global sharer list was checkpointed"
+        );
+        assert!(
+            limited_3 > 0,
+            "no full Limited_3 classifier was checkpointed"
+        );
     }
 
     #[test]
@@ -2092,7 +2148,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different scheme")]
     fn resume_rejects_checkpoints_from_another_scheme() {
         let trace = small_trace(Benchmark::Barnes, 300, 42);
         let mut sim = Simulator::new(
@@ -2108,7 +2163,10 @@ mod tests {
         let mut other =
             Simulator::new(SystemConfig::small_test(), ReplicationConfig::static_nuca());
         let mut source = MemorySource::new(&trace);
-        let _ = other.resume_source(&mut source, &checkpoint, None);
+        match other.resume_source(&mut source, &checkpoint, None) {
+            Err(ResumeError::Rejected(why)) => assert!(why.contains("scheme"), "{why}"),
+            other => panic!("expected a scheme mismatch, got {other:?}"),
+        }
     }
 
     #[test]

@@ -58,6 +58,21 @@ impl LatencyBreakdown {
         ]
     }
 
+    /// Rebuilds a breakdown from [`LatencyBreakdown::values`].
+    pub fn from_values(values: [u64; 7]) -> Self {
+        let [compute, l1_to_llc_replica, l1_to_llc_home, llc_home_waiting, llc_home_to_sharers, llc_home_to_offchip, synchronization] =
+            values;
+        LatencyBreakdown {
+            compute,
+            l1_to_llc_replica,
+            l1_to_llc_home,
+            llc_home_waiting,
+            llc_home_to_sharers,
+            llc_home_to_offchip,
+            synchronization,
+        }
+    }
+
     /// Sum of all components.
     pub fn total(&self) -> u64 {
         self.values().iter().sum()
@@ -87,17 +102,7 @@ impl LatencyBreakdown {
                 .and_then(JsonValue::as_u64)
                 .ok_or_else(|| format!("latency breakdown is missing {label:?}"))?;
         }
-        let [compute, l1_to_llc_replica, l1_to_llc_home, llc_home_waiting, llc_home_to_sharers, llc_home_to_offchip, synchronization] =
-            values;
-        Ok(LatencyBreakdown {
-            compute,
-            l1_to_llc_replica,
-            l1_to_llc_home,
-            llc_home_waiting,
-            llc_home_to_sharers,
-            llc_home_to_offchip,
-            synchronization,
-        })
+        Ok(Self::from_values(values))
     }
 
     /// Merges another breakdown into this one.
@@ -299,6 +304,17 @@ impl RunLengthProfile {
             .collect();
         runs.sort_unstable_by_key(|(line, ..)| *line);
         runs
+    }
+
+    /// The closed-run histograms by class — the checkpoint companion of
+    /// [`RunLengthProfile::open_runs`].
+    pub(crate) fn histograms(&self) -> &BTreeMap<DataClass, Histogram> {
+        &self.histograms
+    }
+
+    /// Reinstates one class's closed-run histogram from a checkpoint.
+    pub(crate) fn restore_histogram(&mut self, class: DataClass, histogram: Histogram) {
+        self.histograms.insert(class, histogram);
     }
 
     /// Reinstates one open run from a checkpoint.
