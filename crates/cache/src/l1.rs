@@ -107,6 +107,14 @@ impl<V> L1Cache<V> {
         self.array.remove(line)
     }
 
+    /// Empties the cache and zeroes its hit, miss and eviction counters,
+    /// leaving it indistinguishable from a newly built one.  Only resident
+    /// lines are written.
+    pub fn clear(&mut self) {
+        self.array.clear();
+        self.set_counters(Counter::new(), Counter::new(), Counter::new());
+    }
+
     /// Number of recorded hits.
     pub fn hits(&self) -> u64 {
         self.hits.value()

@@ -11,12 +11,22 @@
 //! Victim selection uses the paper's sharer-aware modified-LRU policy by
 //! default ([`SharerAwareLru`]) but can be switched to plain LRU to
 //! reproduce the Section 4.2 comparison.
+//!
+//! # Memory
+//!
+//! An entry (directory, classifier and coherence metadata) is large, and a
+//! short run touches a small fraction of a slice's 4096 ways.  So the slice
+//! keeps its entries boxed: a vacant way costs its tag and stamp plus an
+//! 8-byte null, and only resident entries own an allocation.  Building a
+//! slice allocates those 24 bytes per way once; [`LlcSlice::clear`] writes
+//! only the resident ways and frees their entries.  The box never leaves this
+//! module and the snapshot code: every method takes and returns `V`/`&V`.
 
 use lad_common::config::CacheConfig;
 use lad_common::stats::Counter;
 use lad_common::types::CacheLine;
 
-use crate::replacement::{EvictionPriority, PlainLru, SharerAwareLru, SharerCount};
+use crate::replacement::{Boxed, EvictionPriority, PlainLru, SharerAwareLru, SharerCount};
 use crate::set_assoc::SetAssocCache;
 
 /// Which victim-selection policy an LLC slice uses.
@@ -36,7 +46,7 @@ pub enum LlcReplacementPolicy {
 /// sharer-aware replacement policy can consult the in-cache directory.
 #[derive(Debug, Clone)]
 pub struct LlcSlice<V> {
-    array: SetAssocCache<V>,
+    array: SetAssocCache<Box<V>>,
     policy: LlcReplacementPolicy,
     tag_latency: u32,
     data_latency: u32,
@@ -94,7 +104,7 @@ impl<V: SharerCount> LlcSlice<V> {
         match self.array.get_mut(line) {
             Some(entry) => {
                 self.hits.increment();
-                Some(entry)
+                Some(&mut **entry)
             }
             None => {
                 self.misses.increment();
@@ -106,12 +116,12 @@ impl<V: SharerCount> LlcSlice<V> {
     /// Probes for `line` without statistics or LRU update (asynchronous
     /// coherence requests).
     pub fn probe(&self, line: CacheLine) -> Option<&V> {
-        self.array.peek(line)
+        self.array.peek(line).map(|entry| &**entry)
     }
 
     /// Probes mutably without statistics or LRU update.
     pub fn probe_mut(&mut self, line: CacheLine) -> Option<&mut V> {
-        self.array.peek_mut(line)
+        self.array.peek_mut(line).map(|entry| &mut **entry)
     }
 
     /// Returns `true` if `line` is resident in this slice.
@@ -122,30 +132,37 @@ impl<V: SharerCount> LlcSlice<V> {
     /// Inserts `line`, evicting a victim according to the active policy.
     /// Returns the evicted `(line, entry)` pair, if any.
     pub fn fill(&mut self, line: CacheLine, entry: V) -> Option<(CacheLine, V)> {
-        let evicted = match self.policy {
-            LlcReplacementPolicy::SharerAwareLru => self.array.insert(line, entry, &SharerAwareLru),
-            LlcReplacementPolicy::PlainLru => self.array.insert(line, entry, &PlainLru),
-        };
-        if evicted.is_some() {
-            self.evictions.increment();
+        match self.policy {
+            LlcReplacementPolicy::SharerAwareLru => self.fill_with(line, entry, &SharerAwareLru),
+            LlcReplacementPolicy::PlainLru => self.fill_with(line, entry, &PlainLru),
         }
-        evicted
     }
 
     /// Predicts the victim a [`LlcSlice::fill`] of `line` would evict without
     /// performing the fill.  `None` if the set has space or already holds
     /// `line`.
     pub fn victim_for(&self, line: CacheLine) -> Option<(CacheLine, &V)> {
-        match self.policy {
-            LlcReplacementPolicy::SharerAwareLru => self.array.victim_for(line, &SharerAwareLru),
-            LlcReplacementPolicy::PlainLru => self.array.victim_for(line, &PlainLru),
-        }
+        let victim = match self.policy {
+            LlcReplacementPolicy::SharerAwareLru => {
+                self.array.victim_for(line, &Boxed(&SharerAwareLru))
+            }
+            LlcReplacementPolicy::PlainLru => self.array.victim_for(line, &Boxed(&PlainLru)),
+        };
+        victim.map(|(line, entry)| (line, &**entry))
     }
 
     /// Removes `line` (invalidation or replacement elsewhere), returning its
     /// entry if it was resident.
     pub fn invalidate(&mut self, line: CacheLine) -> Option<V> {
-        self.array.remove(line)
+        self.array.remove(line).map(|entry| *entry)
+    }
+
+    /// Empties the slice and zeroes its hit, miss and eviction counters,
+    /// leaving it indistinguishable from a newly built one.  Only resident
+    /// ways are written.
+    pub fn clear(&mut self) {
+        self.array.clear();
+        self.set_counters(Counter::new(), Counter::new(), Counter::new());
     }
 
     /// Number of lookup hits.
@@ -185,12 +202,14 @@ impl<V: SharerCount> LlcSlice<V> {
 
     /// Iterates over resident `(line, entry)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (CacheLine, &V)> {
-        self.array.iter()
+        self.array.iter().map(|(line, entry)| (line, &**entry))
     }
 
     /// Iterates mutably over resident `(line, entry)` pairs.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (CacheLine, &mut V)> {
-        self.array.iter_mut()
+        self.array
+            .iter_mut()
+            .map(|(line, entry)| (line, &mut **entry))
     }
 
     /// Inserts with an arbitrary policy (used by unit tests and the
@@ -199,18 +218,18 @@ impl<V: SharerCount> LlcSlice<V> {
     where
         P: EvictionPriority<V> + ?Sized,
     {
-        let evicted = self.array.insert(line, entry, policy);
+        let evicted = self.array.insert(line, Box::new(entry), &Boxed(policy));
         if evicted.is_some() {
             self.evictions.increment();
         }
-        evicted
+        evicted.map(|(line, entry)| (line, *entry))
     }
 
-    pub(crate) fn array(&self) -> &SetAssocCache<V> {
+    pub(crate) fn array(&self) -> &SetAssocCache<Box<V>> {
         &self.array
     }
 
-    pub(crate) fn array_mut(&mut self) -> &mut SetAssocCache<V> {
+    pub(crate) fn array_mut(&mut self) -> &mut SetAssocCache<Box<V>> {
         &mut self.array
     }
 

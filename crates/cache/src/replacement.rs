@@ -50,6 +50,17 @@ impl<V: SharerCount + ?Sized> EvictionPriority<V> for SharerAwareLru {
     }
 }
 
+/// Applies a policy over `V` to entries stored as `Box<V>` (the LLC slice's
+/// array), so a boxed array evicts exactly as an unboxed one would.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Boxed<'a, P: ?Sized>(pub(crate) &'a P);
+
+impl<V, P: EvictionPriority<V> + ?Sized> EvictionPriority<Box<V>> for Boxed<'_, P> {
+    fn priority(&self, entry: &Box<V>) -> u64 {
+        self.0.priority(entry)
+    }
+}
+
 /// A priority function supplied as a closure, for tests and ad-hoc policies.
 #[derive(Debug, Clone, Copy)]
 pub struct PriorityFn<F>(pub F);

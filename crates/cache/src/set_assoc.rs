@@ -30,6 +30,13 @@ use crate::replacement::EvictionPriority;
 /// stamps come from a global tick that starts at `1`); vacant tags are reset
 /// to `u64::MAX` so they cannot match a lookup early.
 ///
+/// Memory: a slot costs its tag and stamp (16 bytes) plus an `Option<V>`,
+/// whether or not it is occupied.  Building an array allocates every slot
+/// once; [`SetAssocCache::clear`] writes only the occupied ones.  Callers whose
+/// entries are large store them as `Box<V>`, so a vacant slot's value is an
+/// 8-byte null and only resident entries own an allocation (the LLC slice
+/// does this; the L1s keep their 1-byte coherence states inline).
+///
 /// Within-set slot order is immaterial to behavior: resident lines are
 /// unique within a set, and LRU stamps are globally unique, so lookups and
 /// victim selection (`min_by_key` over `(priority, stamp)`) are independent
@@ -261,14 +268,25 @@ impl<V> SetAssocCache<V> {
         self.values[slot].take()
     }
 
-    /// Removes every entry, leaving the geometry unchanged.
+    /// Removes every entry and rewinds the LRU clock to `0`, leaving the
+    /// array indistinguishable from one [`SetAssocCache::new`] built with the
+    /// same geometry: the same stamps, victims and [`SetAssocCache::slots`]
+    /// follow from the same operations.  Only occupied slots are written, so
+    /// clearing costs the occupancy, not the capacity.
     pub fn clear(&mut self) {
-        self.tags.fill(VACANT_TAG);
-        self.stamps.fill(0);
-        for value in &mut self.values {
-            *value = None;
+        let mut resident = self.len;
+        let mut slot = 0;
+        while resident > 0 {
+            if self.stamps[slot] != 0 {
+                self.tags[slot] = VACANT_TAG;
+                self.stamps[slot] = 0;
+                self.values[slot] = None;
+                resident -= 1;
+            }
+            slot += 1;
         }
         self.len = 0;
+        self.clock = 0;
     }
 
     /// Iterates over all resident `(line, entry)` pairs in unspecified order.
@@ -488,6 +506,36 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert!(!c.contains(line(1)));
+    }
+
+    #[test]
+    fn clear_leaves_an_array_indistinguishable_from_a_new_one() {
+        let mut used = SetAssocCache::new(2, 2);
+        for i in 0..9 {
+            used.insert(line(i), i, &PlainLru);
+        }
+        used.get(line(7));
+        used.remove(line(8));
+        used.clear();
+        assert_eq!(used.len(), 0);
+        assert_eq!(used.clock(), 0);
+        assert_eq!(used.slots().count(), 0);
+
+        // Refilling hands out the same stamps and victims as a new array.
+        let mut fresh = SetAssocCache::new(2, 2);
+        for i in [3, 5, 7, 9, 11, 3, 13, 15] {
+            assert_eq!(
+                used.insert(line(i), i, &PlainLru),
+                fresh.insert(line(i), i, &PlainLru)
+            );
+        }
+        let slots = |c: &SetAssocCache<u64>| -> Vec<(usize, u64, u64, u64)> {
+            c.slots()
+                .map(|(s, tag, stamp, v)| (s, tag, stamp, *v))
+                .collect()
+        };
+        assert_eq!(slots(&used), slots(&fresh));
+        assert_eq!(used.clock(), fresh.clock());
     }
 
     #[test]

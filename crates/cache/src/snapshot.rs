@@ -5,6 +5,12 @@
 //! eviction counters — as ordinary vectors and integers, with no opinion on
 //! how it is serialized.  The JSON encoding lives with the simulator's
 //! checkpoint module so that this crate stays serialization-free.
+//!
+//! A state always carries plain `V` entries, whatever form the array
+//! stores them in (the LLC slice boxes its entries), so the checkpoint
+//! codec never sees how a cache lays out its memory.
+
+use std::borrow::Borrow;
 
 use lad_common::stats::Counter;
 
@@ -33,8 +39,10 @@ pub struct CacheState<V> {
     pub evictions: u64,
 }
 
-fn capture<V: Clone>(
-    array: &SetAssocCache<V>,
+/// Snapshots an array storing its entries as `S` (`V` itself or
+/// `Box<V>`).
+fn capture<S: Borrow<V>, V: Clone>(
+    array: &SetAssocCache<S>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -42,7 +50,7 @@ fn capture<V: Clone>(
     CacheState {
         slots: array
             .slots()
-            .map(|(slot, tag, stamp, value)| (slot, tag, stamp, value.clone()))
+            .map(|(slot, tag, stamp, value)| (slot, tag, stamp, value.borrow().clone()))
             .collect(),
         clock: array.clock(),
         hits,
@@ -53,7 +61,7 @@ fn capture<V: Clone>(
 
 /// Checks `state` against `array`'s geometry: every slot in range and in
 /// the set its tag maps to.
-fn check_fits<V>(array: &SetAssocCache<V>, state: &CacheState<V>) -> Result<(), String> {
+fn check_fits<S, V>(array: &SetAssocCache<S>, state: &CacheState<V>) -> Result<(), String> {
     match state
         .slots
         .iter()
@@ -68,13 +76,16 @@ fn check_fits<V>(array: &SetAssocCache<V>, state: &CacheState<V>) -> Result<(), 
     }
 }
 
-fn replay<V>(array: &mut SetAssocCache<V>, state: &CacheState<V>) -> (Counter, Counter, Counter)
+/// Restores `state` into an array storing its entries as `S` (`V` itself
+/// or `Box<V>`).
+fn replay<S, V>(array: &mut SetAssocCache<S>, state: &CacheState<V>) -> (Counter, Counter, Counter)
 where
+    S: From<V>,
     V: Clone,
 {
     array.clear();
     for (slot, tag, stamp, value) in &state.slots {
-        array.restore_slot(*slot, *tag, *stamp, value.clone());
+        array.restore_slot(*slot, *tag, *stamp, S::from(value.clone()));
     }
     array.set_clock(state.clock);
     (
@@ -210,5 +221,26 @@ mod tests {
         assert_eq!(expect, got);
         assert_eq!(got.map(|(victim, _)| victim), Some(line(4)));
         assert_eq!(restored.state(), slice.state());
+    }
+
+    #[test]
+    fn clear_returns_caches_to_their_built_state() {
+        let mut l1: L1Cache<u8> = L1Cache::new(&config(), 64);
+        let mut slice: LlcSlice<Entry> = LlcSlice::new(&config(), 64);
+        for i in 0..9 {
+            l1.fill(line(i), i as u8);
+            slice.fill(line(i), Entry { sharers: 0 });
+        }
+        l1.access(line(8));
+        l1.access(line(99));
+        slice.access(line(8));
+        slice.access(line(99));
+        assert!(l1.evictions() > 0 && slice.evictions() > 0);
+
+        l1.clear();
+        slice.clear();
+        // Entries, stamps, clock and all three counters match a new cache.
+        assert_eq!(l1.state(), L1Cache::new(&config(), 64).state());
+        assert_eq!(slice.state(), LlcSlice::new(&config(), 64).state());
     }
 }

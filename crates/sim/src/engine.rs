@@ -167,7 +167,10 @@ struct SharerProbe {
 /// A simulator is built for one system configuration and one LLC management
 /// scheme; [`Simulator::run`] executes a workload trace to completion and
 /// produces a [`SimulationReport`].  Internal state is reset at the start of
-/// every run, so the same simulator can execute several traces.
+/// every run, so the same simulator can execute several traces.  The tiles
+/// are built once, with the simulator, and cleared in place by every
+/// [`Simulator::begin`]: a run pays for the cache state it touches, not for
+/// the capacity of its caches.
 ///
 /// # Stepping
 ///
@@ -336,20 +339,11 @@ impl Simulator {
         if let Err(error) = energy_model.validate() {
             panic!("energy model must be valid: {error}");
         }
+        // The only place tiles are made: `reset` clears them in place.
         let tiles = (0..system.num_cores)
             .map(|i| Tile::new(CoreId::new(i), &system, &replication))
             .collect();
-        let network = Network::new(&system.network, system.cache_line_bytes);
-        let controller_cores = (0..system.dram.num_controllers)
-            .map(|i| system.dram_controller_core(i))
-            .collect();
-        let dram = DramSystem::new(&system.dram, system.cache_line_bytes, controller_cores);
-        let home_map = HomeMap::new(
-            policy.placement(),
-            system.num_cores,
-            system.cache_line_bytes,
-            system.page_bytes,
-        );
+        let (network, dram, home_map) = Self::build_uncore(&system, policy.as_ref());
         let active_cores = system.num_cores;
         Simulator {
             tiles,
@@ -424,25 +418,35 @@ impl Simulator {
         self.tiles[core.index()].clock
     }
 
+    /// The network, DRAM and home map of a new run.  They are small, so
+    /// [`Simulator::reset`] builds them afresh.
+    fn build_uncore(
+        system: &SystemConfig,
+        policy: &dyn ReplicationPolicy,
+    ) -> (Network, DramSystem, HomeMap) {
+        let network = Network::new(&system.network, system.cache_line_bytes);
+        let controller_cores = (0..system.dram.num_controllers)
+            .map(|i| system.dram_controller_core(i))
+            .collect();
+        let dram = DramSystem::new(&system.dram, system.cache_line_bytes, controller_cores);
+        let home_map = HomeMap::new(
+            policy.placement(),
+            system.num_cores,
+            system.cache_line_bytes,
+            system.page_bytes,
+        );
+        (network, dram, home_map)
+    }
+
+    /// Returns every piece of run state to what [`Simulator::build`] made.
+    /// The tiles hold most of the simulator's memory, so they are cleared in
+    /// place (costing what the last run touched) rather than rebuilt.
     fn reset(&mut self) {
-        self.tiles = (0..self.system.num_cores)
-            .map(|i| Tile::new(CoreId::new(i), &self.system, &self.replication))
-            .collect();
-        self.network = Network::new(&self.system.network, self.system.cache_line_bytes);
-        let controller_cores = (0..self.system.dram.num_controllers)
-            .map(|i| self.system.dram_controller_core(i))
-            .collect();
-        self.dram = DramSystem::new(
-            &self.system.dram,
-            self.system.cache_line_bytes,
-            controller_cores,
-        );
-        self.home_map = HomeMap::new(
-            self.policy.placement(),
-            self.system.num_cores,
-            self.system.cache_line_bytes,
-            self.system.page_bytes,
-        );
+        for tile in &mut self.tiles {
+            tile.clear();
+        }
+        (self.network, self.dram, self.home_map) =
+            Self::build_uncore(&self.system, self.policy.as_ref());
         self.line_class.clear();
         self.line_busy_until.clear();
         self.rng = DeterministicRng::seed_from(self.seed);
@@ -1937,6 +1941,17 @@ mod tests {
         TraceGenerator::new(benchmark.profile()).generate(16, accesses, seed)
     }
 
+    fn config_for(scheme: SchemeId) -> ReplicationConfig {
+        match scheme {
+            SchemeId::StaticNuca => ReplicationConfig::static_nuca(),
+            SchemeId::ReactiveNuca => ReplicationConfig::reactive_nuca(),
+            SchemeId::VictimReplication => ReplicationConfig::victim_replication(),
+            SchemeId::Asr => ReplicationConfig::asr(0.5),
+            SchemeId::Rt(rt) => ReplicationConfig::locality_aware(rt),
+            other => panic!("no built-in configuration for {other}"),
+        }
+    }
+
     fn run(config: ReplicationConfig, benchmark: Benchmark, accesses: usize) -> SimulationReport {
         let mut sim = Simulator::new(SystemConfig::small_test(), config);
         sim.run(&small_trace(benchmark, accesses, 42))
@@ -2012,14 +2027,7 @@ mod tests {
         let trace = small_trace(Benchmark::Patricia, 600, 42);
         let (mut replicas, mut broadcast_lists, mut limited_3) = (0, 0, 0);
         for scheme in SchemeComparison::SCHEME_ORDER {
-            let config = match scheme {
-                SchemeId::StaticNuca => ReplicationConfig::static_nuca(),
-                SchemeId::ReactiveNuca => ReplicationConfig::reactive_nuca(),
-                SchemeId::VictimReplication => ReplicationConfig::victim_replication(),
-                SchemeId::Asr => ReplicationConfig::asr(0.5),
-                SchemeId::Rt(rt) => ReplicationConfig::locality_aware(rt),
-                other => panic!("no built-in configuration for {other}"),
-            };
+            let config = config_for(scheme);
             let mut straight = Simulator::new(SystemConfig::small_test(), config.clone());
             let expected = straight.run(&trace);
 
@@ -2195,15 +2203,47 @@ mod tests {
 
     #[test]
     fn rerunning_the_same_simulator_resets_state() {
-        let mut sim = Simulator::new(
-            SystemConfig::small_test(),
-            ReplicationConfig::locality_aware(3),
-        );
+        // `begin` clears the tiles in place instead of rebuilding them, so a
+        // stale LLC slot, counter or LRU clock left by an earlier run would
+        // change what follows.  Dirty each simulator with a run that evicts
+        // from the LLC, then compare the whole report, and the whole
+        // checkpoint at a mid-run cancel, with a fresh simulator's.
+        use crate::experiment::SchemeComparison;
+
+        let dirty = small_trace(Benchmark::Radix, 600, 7);
         let trace = small_trace(Benchmark::Barnes, 200, 42);
-        let a = sim.run(&trace);
-        let b = sim.run(&trace);
-        assert_eq!(a.completion_time, b.completion_time);
-        assert_eq!(a.total_accesses, b.total_accesses);
+        let cancel_at = 1500;
+        let checkpoint_json = |sim: &mut Simulator| {
+            let mut source = MemorySource::new(&trace);
+            let mut stop = StopAfter::new(cancel_at);
+            match sim.run_source_observed(&mut source, Some(&mut stop)) {
+                Ok(RunOutcome::Cancelled(checkpoint)) => checkpoint.to_json().to_string(),
+                other => panic!("expected cancellation, got {other:?}"),
+            }
+        };
+        for scheme in SchemeComparison::SCHEME_ORDER {
+            let config = config_for(scheme);
+            let mut fresh = Simulator::new(SystemConfig::small_test(), config.clone());
+            let expected_checkpoint = checkpoint_json(&mut fresh);
+            let mut fresh = Simulator::new(SystemConfig::small_test(), config.clone());
+            let expected_report = fresh.run(&trace).to_json().to_string();
+
+            let mut reused = Simulator::new(SystemConfig::small_test(), config);
+            reused.run(&dirty);
+            let evictions: u64 = reused.tiles.iter().map(|tile| tile.llc.evictions()).sum();
+            assert!(evictions > 0, "{scheme}: the dirtying run must evict");
+            assert_eq!(
+                checkpoint_json(&mut reused),
+                expected_checkpoint,
+                "{scheme}"
+            );
+            reused.run(&dirty);
+            assert_eq!(
+                reused.run(&trace).to_json().to_string(),
+                expected_report,
+                "{scheme}"
+            );
+        }
     }
 
     #[test]

@@ -42,6 +42,16 @@ impl Tile {
         }
     }
 
+    /// Empties every cache, zeroes their counters and rewinds the clock,
+    /// leaving the tile indistinguishable from a newly built one.  Only
+    /// resident lines are written, so this costs what the last run touched.
+    pub fn clear(&mut self) {
+        self.l1i.clear();
+        self.l1d.clear();
+        self.llc.clear();
+        self.clock = Cycle::ZERO;
+    }
+
     /// The L1 cache used by an access (instruction fetches use the L1-I).
     pub fn l1_for(&mut self, instruction: bool) -> &mut L1Cache<MesiState> {
         if instruction {
