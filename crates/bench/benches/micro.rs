@@ -158,59 +158,9 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end engine throughput (accesses per second) for every paper
-/// scheme at the three core counts BENCH_7.json tracks.  `LAD_CORES` /
-/// `LAD_ACCESSES` shrink the sweep to one core count for the CI smoke run;
-/// `lad-bench-report` is the measurement-grade version of this sweep
-/// (best-of-N wall clock, JSON output).
-fn bench_scheme_throughput(c: &mut Criterion) {
-    let env_cores: Option<usize> = std::env::var("LAD_CORES").ok().and_then(|v| v.parse().ok());
-    let env_accesses: Option<usize> = std::env::var("LAD_ACCESSES")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let sweep: Vec<(usize, usize)> = match env_cores {
-        Some(cores) => vec![(cores, env_accesses.unwrap_or(250))],
-        None => vec![(16, 2000), (64, 1000), (256, 250)],
-    };
-    let registry = SchemeRegistry::builtin();
-    let schemes = [
-        SchemeId::StaticNuca,
-        SchemeId::ReactiveNuca,
-        SchemeId::VictimReplication,
-        SchemeId::asr_at_level(0.5),
-        SchemeId::Rt(1),
-        SchemeId::Rt(3),
-        SchemeId::Rt(8),
-    ];
-    for (cores, per_core) in sweep {
-        let system = SystemConfig::paper_default().with_num_cores(cores);
-        let trace = TraceGenerator::new(Benchmark::Barnes.profile()).generate(cores, per_core, 7);
-        let mut group = c.benchmark_group(&format!("throughput/{cores}c"));
-        group.sample_size(10);
-        group.throughput(Throughput::Elements(trace.total_accesses() as u64));
-        for scheme in schemes {
-            let entry = registry
-                .get(scheme)
-                .unwrap_or_else(|err| panic!("builtin registry must cover the sweep: {err}"));
-            group.bench_function(&scheme.label(), |b| {
-                b.iter(|| {
-                    let mut sim = Simulator::with_policy_and_energy_model(
-                        system.clone(),
-                        entry.config.clone(),
-                        Arc::clone(&entry.policy),
-                        EnergyModel::paper_default(),
-                    );
-                    sim.run(&trace)
-                })
-            });
-        }
-        group.finish();
-    }
-}
-
-/// The observability-overhead guard: the 64-core RT-3 throughput cell
-/// with engine metrics recording into the armed process-wide registry
-/// versus a no-op registry (disarmed handles skip the atomics entirely).
+/// The observability-overhead guard: a 64-core RT-3 BARNES run with
+/// engine metrics recording into the armed process-wide registry versus a
+/// no-op registry (disarmed handles skip the atomics entirely).
 /// The acceptance bar is armed within 3% of no-op — the hot path is one
 /// local increment per access plus two atomics per dispatch batch.
 ///
@@ -304,7 +254,6 @@ criterion_group!(
     bench_network,
     bench_ladt_codec,
     bench_end_to_end,
-    bench_scheme_throughput,
     bench_metrics_overhead
 );
 criterion_main!(benches);

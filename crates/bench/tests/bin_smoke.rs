@@ -46,5 +46,4 @@ bin_smoke_tests! {
     sec42_replacement_quick => "sec42_replacement",
     table1_config_quick => "table1_config",
     table2_benchmarks_quick => "table2_benchmarks",
-    bench_report_quick => "lad-bench-report",
 }

@@ -9,7 +9,7 @@ use lad_common::config::CacheConfig;
 use lad_common::stats::Counter;
 use lad_common::types::CacheLine;
 
-use crate::replacement::{EvictionPriority, PlainLru};
+use crate::replacement::PlainLru;
 use crate::set_assoc::SetAssocCache;
 
 /// A private L1 cache holding per-line state of type `V` (the coherence
@@ -78,24 +78,6 @@ impl<V> L1Cache<V> {
     /// directory.
     pub fn fill(&mut self, line: CacheLine, state: V) -> Option<(CacheLine, V)> {
         let evicted = self.array.insert(line, state, &PlainLru);
-        if evicted.is_some() {
-            self.evictions.increment();
-        }
-        evicted
-    }
-
-    /// Inserts with a custom eviction policy (not used by the paper's L1, but
-    /// exposed for experimentation).
-    pub fn fill_with_policy<P>(
-        &mut self,
-        line: CacheLine,
-        state: V,
-        policy: &P,
-    ) -> Option<(CacheLine, V)>
-    where
-        P: EvictionPriority<V> + ?Sized,
-    {
-        let evicted = self.array.insert(line, state, policy);
         if evicted.is_some() {
             self.evictions.increment();
         }

@@ -222,12 +222,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns a copy with a different LLC slice capacity (bytes).
-    pub fn with_llc_slice_capacity(mut self, capacity_bytes: usize) -> Self {
-        self.llc_slice.capacity_bytes = capacity_bytes;
-        self
-    }
-
     /// Validates internal consistency (mesh covers all cores, cache
     /// geometries divide evenly, at least one DRAM controller).
     ///

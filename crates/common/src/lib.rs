@@ -19,8 +19,8 @@
 //! * [`hex`] — the table-driven hex codec that carries binary payloads
 //!   (trace uploads, engine-checkpoint blobs) inside JSON documents.
 //! * [`workers`] — the one worker-count resolution chain (explicit override,
-//!   then `LAD_THREADS`, then a default) shared by every parallel entry
-//!   point.
+//!   then `LAD_THREADS`, then the machine's parallelism) shared by every
+//!   parallel entry point.
 //! * [`fault`] — deterministic, seeded fault injection ([`fault::FaultPlan`],
 //!   [`fault::FaultInjector`], [`fault::FaultyRead`]/[`fault::FaultyWrite`])
 //!   used by the robustness torture suites; disarmed it costs one branch.

@@ -42,7 +42,8 @@ pub use topology::Mesh;
 use lad_common::config::NetworkConfig;
 use lad_common::types::{CoreId, Cycle};
 
-/// The on-chip network: topology, timing and contention state.
+/// The on-chip network: topology, timing and contention state.  Every
+/// message queues behind earlier traffic on the links it crosses.
 #[derive(Debug, Clone)]
 pub struct Network {
     mesh: Mesh,
@@ -51,7 +52,6 @@ pub struct Network {
     data_flits: usize,
     links: Vec<LinkState>,
     stats: NetworkStats,
-    model_contention: bool,
 }
 
 impl Network {
@@ -71,15 +71,7 @@ impl Network {
             data_flits: config.data_message_flits(line_bytes),
             links: vec![LinkState::default(); num_links],
             stats: NetworkStats::default(),
-            model_contention: true,
         }
-    }
-
-    /// Disables the link-contention model (used by tests and by the
-    /// contention ablation); the fixed hop latency and serialization delay
-    /// are still applied.
-    pub fn set_contention_modeling(&mut self, enabled: bool) {
-        self.model_contention = enabled;
     }
 
     /// The mesh topology.
@@ -120,18 +112,12 @@ impl Network {
             let mut head_time = now;
             for link in route {
                 let link_state = &mut self.links[link];
-                if self.model_contention {
-                    let start = head_time.max(link_state.busy_until);
-                    let finish = start + self.hop_latency as u64 + (flits - 1) as u64;
-                    link_state.busy_until = finish;
-                    link_state.flits += flits as u64;
-                    head_time = start + self.hop_latency as u64;
-                    arrival = finish;
-                } else {
-                    link_state.flits += flits as u64;
-                    head_time += self.hop_latency as u64;
-                    arrival = head_time + (flits - 1) as u64;
-                }
+                let start = head_time.max(link_state.busy_until);
+                let finish = start + self.hop_latency as u64 + (flits - 1) as u64;
+                link_state.busy_until = finish;
+                link_state.flits += flits as u64;
+                head_time = start + self.hop_latency as u64;
+                arrival = finish;
             }
         }
 
@@ -279,16 +265,13 @@ mod tests {
         let dst = CoreId::new(1);
         let first = net.send(src, dst, MessageKind::Data, Cycle::ZERO);
         let second = net.send(src, dst, MessageKind::Data, Cycle::ZERO);
+        // The first message finds the link idle and takes exactly the base
+        // latency; the second queues behind it.
+        assert_eq!(first.latency, net.base_latency(src, dst, MessageKind::Data));
         assert!(
             second.latency > first.latency,
             "second message must queue behind the first"
         );
-        // Without contention modeling both take the base latency.
-        let mut net = network();
-        net.set_contention_modeling(false);
-        let first = net.send(src, dst, MessageKind::Data, Cycle::ZERO);
-        let second = net.send(src, dst, MessageKind::Data, Cycle::ZERO);
-        assert_eq!(second.latency, first.latency);
     }
 
     #[test]

@@ -459,6 +459,7 @@ pub fn fingerprint_hex(value: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lad_traceio::error::TraceError;
 
     /// Compile-time exhaustiveness guard for
     /// [`error_codes_and_kinds_are_stable`]: adding a [`ServeError`]
@@ -527,9 +528,10 @@ mod tests {
             ),
             (ServeError::ShuttingDown, 503, "shutting_down"),
             (
-                ServeError::Replay(ReplayError::DuplicateBenchmark {
-                    benchmark: "BARNES".into(),
-                }),
+                ServeError::Replay(ReplayError::Trace(TraceError::CoreCountExceeded {
+                    trace_cores: 512,
+                    limit: 256,
+                })),
                 500,
                 "replay",
             ),

@@ -19,7 +19,7 @@
 //! `std::thread::scope`, so a draining server joins everything).  Worker
 //! threads pull cells from a bounded queue guarded by a mutex + condvar —
 //! the same "one shared cursor, workers steal the next job" shape as
-//! [`ExperimentRunner::replay_file_matrix`](lad_sim::experiment::ExperimentRunner::replay_file_matrix),
+//! [`ExperimentRunner::run_matrix`](lad_sim::experiment::ExperimentRunner::run_matrix),
 //! persistent across jobs instead of per-matrix.  Identical cells submitted
 //! concurrently are deduplicated *in flight*: later submissions subscribe
 //! to the running cell rather than enqueueing a copy, so N parallel

@@ -39,6 +39,11 @@ use crate::metrics::{
 use crate::schedule::CoreScheduler;
 use crate::tile::Tile;
 
+/// Seed of the simulator's internal randomness (ASR's probabilistic
+/// replication), reapplied at every [`Simulator::begin`]; simulation is
+/// otherwise deterministic.
+const RNG_SEED: u64 = 0x5eed;
+
 /// Where one memory access was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServedBy {
@@ -194,7 +199,6 @@ pub struct Simulator {
     scheme_id: SchemeId,
     label: String,
     energy_model: EnergyModel,
-    seed: u64,
     benchmark: String,
     active_cores: usize,
 
@@ -261,54 +265,28 @@ impl EngineMetrics {
 
 impl Simulator {
     /// Builds a simulator for one system configuration and scheme, using the
-    /// default energy model.
+    /// default energy model and the built-in policy of `replication.scheme`.
     ///
     /// # Panics
     ///
     /// Panics if either configuration fails validation.
     pub fn new(system: SystemConfig, replication: ReplicationConfig) -> Self {
-        Self::with_energy_model(system, replication, EnergyModel::paper_default())
-    }
-
-    /// Builds a simulator with an explicit energy model, running the
-    /// built-in policy of `replication.scheme`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any configuration fails validation.
-    pub fn with_energy_model(
-        system: SystemConfig,
-        replication: ReplicationConfig,
-        energy_model: EnergyModel,
-    ) -> Self {
         let policy = builtin_policy(&replication);
         let label = replication.label();
-        Self::build(system, replication, policy, label, energy_model)
-    }
-
-    /// Builds a simulator around a custom [`ReplicationPolicy`] (registered
-    /// or not), using the default energy model.  `replication` supplies the
-    /// engine knobs (replication threshold, classifier organization, cluster
-    /// size, LLC replacement); placement and every replication decision come
-    /// from the policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any configuration fails validation.
-    pub fn with_policy(
-        system: SystemConfig,
-        replication: ReplicationConfig,
-        policy: Arc<dyn ReplicationPolicy>,
-    ) -> Self {
-        Self::with_policy_and_energy_model(
+        Self::build(
             system,
             replication,
             policy,
+            label,
             EnergyModel::paper_default(),
         )
     }
 
-    /// [`Simulator::with_policy`] with an explicit energy model.
+    /// Builds a simulator around a custom [`ReplicationPolicy`] (registered
+    /// or not) and an explicit energy model.  `replication` supplies the
+    /// engine knobs (replication threshold, classifier organization, cluster
+    /// size, LLC replacement); placement and every replication decision come
+    /// from the policy.
     ///
     /// # Panics
     ///
@@ -352,7 +330,7 @@ impl Simulator {
             home_map,
             line_class: FastMap::default(),
             line_busy_until: FastMap::default(),
-            rng: DeterministicRng::seed_from(0x5eed),
+            rng: DeterministicRng::seed_from(RNG_SEED),
             energy: EnergyAccounting::new(),
             latency: LatencyBreakdown::default(),
             misses: MissBreakdown::default(),
@@ -369,7 +347,6 @@ impl Simulator {
             policy,
             label,
             energy_model,
-            seed: 0x5eed,
             benchmark: String::new(),
             active_cores,
         }
@@ -383,12 +360,6 @@ impl Simulator {
     /// instrumentation on the real execution path.
     pub fn set_metrics_registry(&mut self, registry: &MetricsRegistry) {
         self.obs = EngineMetrics::resolve(registry);
-    }
-
-    /// Sets the seed for the simulator's internal randomness (ASR's
-    /// probabilistic replication); simulation is otherwise deterministic.
-    pub fn set_seed(&mut self, seed: u64) {
-        self.seed = seed;
     }
 
     /// The system configuration.
@@ -449,7 +420,7 @@ impl Simulator {
             Self::build_uncore(&self.system, self.policy.as_ref());
         self.line_class.clear();
         self.line_busy_until.clear();
-        self.rng = DeterministicRng::seed_from(self.seed);
+        self.rng = DeterministicRng::seed_from(RNG_SEED);
         self.energy = EnergyAccounting::new();
         self.latency = LatencyBreakdown::default();
         self.misses = MissBreakdown::default();

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,11 +38,12 @@ use lad_traceio::source::{FileSource, TraceSource};
 use crate::engine::Simulator;
 use crate::metrics::SimulationReport;
 
-/// Pre-resolved work-stealing-pool instrument handles, labelled by which
-/// matrix entry point owns the pool.  Queue wait is measured from pool
-/// start to the moment a worker pulls the cell (cells sit in the shared
-/// queue from the start, so that *is* their wait); execution time is the
-/// cell's own wall clock.
+/// Pre-resolved instrument handles of [`ExperimentRunner::run_matrix`]'s
+/// work-stealing pool, labelled `pool="run_matrix"` (the series perfbench's
+/// `pool.busy_frac` reads).  Queue wait is measured from pool start to the
+/// moment a worker pulls the cell (cells sit in the shared queue from the
+/// start, so that *is* their wait); execution time is the cell's own wall
+/// clock.
 #[derive(Clone)]
 struct PoolMetrics {
     queue_wait: lad_obs::LatencyHistogram,
@@ -52,9 +53,9 @@ struct PoolMetrics {
 }
 
 impl PoolMetrics {
-    fn resolve(pool: &str) -> Self {
+    fn resolve() -> Self {
         let registry = lad_obs::global();
-        let labels = [("pool", pool)];
+        let labels = [("pool", "run_matrix")];
         PoolMetrics {
             queue_wait: registry.histogram_with(
                 "lad_pool_queue_wait_us",
@@ -80,21 +81,14 @@ impl PoolMetrics {
     }
 }
 
-/// Why a file-backed replay failed: the scheme was never registered, the
-/// trace could not be streamed, or two trace files claimed the same
-/// benchmark name in a matrix replay.
+/// Why a file-backed replay failed: the scheme was never registered or the
+/// trace could not be streamed.
 #[derive(Debug)]
 pub enum ReplayError {
     /// The requested scheme is not in the runner's registry.
     UnknownScheme(UnknownScheme),
     /// The trace file could not be opened or decoded.
     Trace(TraceError),
-    /// Two trace files in one matrix replay carry the same benchmark name
-    /// in their headers, so their reports would overwrite each other.
-    DuplicateBenchmark {
-        /// The benchmark name both headers claim.
-        benchmark: String,
-    },
 }
 
 impl fmt::Display for ReplayError {
@@ -102,11 +96,6 @@ impl fmt::Display for ReplayError {
         match self {
             ReplayError::UnknownScheme(err) => write!(f, "{err}"),
             ReplayError::Trace(err) => write!(f, "{err}"),
-            ReplayError::DuplicateBenchmark { benchmark } => write!(
-                f,
-                "two trace files both claim benchmark {benchmark}; matrix results are keyed by \
-                 benchmark name, so their reports would collide"
-            ),
         }
     }
 }
@@ -116,7 +105,6 @@ impl std::error::Error for ReplayError {
         match self {
             ReplayError::UnknownScheme(err) => Some(err),
             ReplayError::Trace(err) => Some(err),
-            ReplayError::DuplicateBenchmark { .. } => None,
         }
     }
 }
@@ -143,7 +131,6 @@ impl From<TraceError> for ReplayError {
 pub struct ExperimentRunner {
     system: SystemConfig,
     suite: BenchmarkSuite,
-    energy_model: EnergyModel,
     threads: usize,
     registry: SchemeRegistry,
 }
@@ -160,7 +147,6 @@ impl ExperimentRunner {
         ExperimentRunner {
             system,
             suite,
-            energy_model: EnergyModel::paper_default(),
             threads: lad_common::workers::worker_count(None),
             registry: SchemeRegistry::builtin(),
         }
@@ -169,12 +155,6 @@ impl ExperimentRunner {
     /// Limits the number of worker threads (builder style).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Uses a custom energy model (builder style).
-    pub fn with_energy_model(mut self, model: EnergyModel) -> Self {
-        self.energy_model = model;
         self
     }
 
@@ -217,11 +197,7 @@ impl ExperimentRunner {
     /// registry), using the built-in policy of `config.scheme`.
     pub fn run_one(&self, benchmark: Benchmark, config: &ReplicationConfig) -> SimulationReport {
         let trace = self.suite.trace_for(benchmark, self.system.num_cores);
-        let mut sim = Simulator::with_energy_model(
-            self.system.clone(),
-            config.clone(),
-            self.energy_model.clone(),
-        );
+        let mut sim = Simulator::new(self.system.clone(), config.clone());
         sim.run(&trace)
     }
 
@@ -245,7 +221,7 @@ impl ExperimentRunner {
             self.system.clone(),
             scheme.config.clone(),
             Arc::clone(&scheme.policy),
-            self.energy_model.clone(),
+            EnergyModel::paper_default(),
         );
         sim.run(&trace)
     }
@@ -269,7 +245,7 @@ impl ExperimentRunner {
             self.system.clone(),
             entry.config.clone(),
             Arc::clone(&entry.policy),
-            self.energy_model.clone(),
+            EnergyModel::paper_default(),
         );
         Ok(sim.run_source(source)?)
     }
@@ -289,105 +265,6 @@ impl ExperimentRunner {
         self.registry.get(scheme)?;
         let mut source = FileSource::open(path)?;
         self.replay_source(&mut source, scheme)
-    }
-
-    /// Replays every `.ladt` file under every requested scheme, in parallel
-    /// across worker threads — the file-backed counterpart of
-    /// [`ExperimentRunner::run_matrix`].  Results are keyed by
-    /// `(benchmark name from the trace header, scheme id)`.
-    ///
-    /// # Errors
-    ///
-    /// Fails fast (before replaying anything) if any scheme is
-    /// unregistered; trace errors surface per cell as the whole matrix's
-    /// error, and two files whose headers claim the same benchmark name
-    /// are [`ReplayError::DuplicateBenchmark`] rather than a silent
-    /// overwrite.
-    pub fn replay_file_matrix(
-        &self,
-        files: &[PathBuf],
-        schemes: &[SchemeId],
-    ) -> Result<BTreeMap<(String, SchemeId), SimulationReport>, ReplayError> {
-        for &scheme in schemes {
-            self.registry.get(scheme)?;
-        }
-        let jobs: Vec<(&PathBuf, SchemeId)> = files
-            .iter()
-            .flat_map(|path| schemes.iter().map(move |&scheme| (path, scheme)))
-            .collect();
-
-        // Work stealing: every worker pulls the next unclaimed job index
-        // instead of owning a pre-cut chunk, so one slow trace cannot idle
-        // the other workers the way static `chunks()` partitioning did.
-        // Cells are tagged with their job index and merged in index order,
-        // so the result map and the reported error are identical no matter
-        // which worker ran which job.
-        let workers = self.worker_threads(jobs.len());
-        let next_job = AtomicUsize::new(0);
-        let obs = PoolMetrics::resolve("replay_file_matrix");
-        let pool_started = Instant::now();
-        type ReplayCell = Result<((String, SchemeId), SimulationReport), ReplayError>;
-        let mut collected: Vec<(usize, ReplayCell)> = Vec::with_capacity(jobs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let runner = self;
-                    let jobs = &jobs;
-                    let next_job = &next_job;
-                    let obs = obs.clone();
-                    scope.spawn(move || {
-                        let mut cells: Vec<(usize, ReplayCell)> = Vec::new();
-                        loop {
-                            let index = next_job.fetch_add(1, Ordering::Relaxed);
-                            let Some((path, scheme)) = jobs.get(index) else {
-                                break;
-                            };
-                            obs.queue_wait.record_duration(pool_started.elapsed());
-                            obs.jobs.inc();
-                            obs.busy.inc();
-                            let cell_started = Instant::now();
-                            let cell = runner
-                                .replay_file(path, *scheme)
-                                .map(|report| ((report.benchmark.clone(), *scheme), report));
-                            obs.exec.record_duration(cell_started.elapsed());
-                            obs.busy.dec();
-                            cells.push((index, cell));
-                        }
-                        cells
-                    })
-                })
-                .collect();
-            for handle in handles {
-                collected.extend(
-                    handle
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                );
-            }
-        });
-        collected.sort_unstable_by_key(|(index, _)| *index);
-
-        let mut results = BTreeMap::new();
-        let mut first_error = None;
-        for (_, cell) in collected {
-            match cell {
-                Ok((key, report)) => {
-                    let benchmark = key.0.clone();
-                    if results.insert(key, report).is_some() && first_error.is_none() {
-                        first_error = Some(ReplayError::DuplicateBenchmark { benchmark });
-                    }
-                }
-                Err(err) => {
-                    if first_error.is_none() {
-                        first_error = Some(err);
-                    }
-                }
-            }
-        }
-        match first_error {
-            Some(err) => Err(err),
-            None => Ok(results),
-        }
     }
 
     /// Runs every benchmark of the suite under every requested scheme, in
@@ -413,15 +290,15 @@ impl ExperimentRunner {
             .flat_map(|b| resolved.iter().map(move |(id, entry)| (*b, *id, *entry)))
             .collect();
 
-        // Same work-stealing scheme as `replay_file_matrix`: an atomic
-        // next-job index instead of static chunks, so an expensive
+        // Work stealing: every worker pulls the next unclaimed job index
+        // instead of owning a pre-cut chunk, so an expensive
         // (benchmark, scheme) cell never strands the rest of a chunk
         // behind it.  Each cell is keyed by `(benchmark, scheme)` and every
         // simulation is deterministic, so the BTreeMap is byte-identical
         // however the jobs land on workers.
         let workers = self.worker_threads(jobs.len());
         let next_job = AtomicUsize::new(0);
-        let obs = PoolMetrics::resolve("run_matrix");
+        let obs = PoolMetrics::resolve();
         let pool_started = Instant::now();
         let mut results = BTreeMap::new();
         std::thread::scope(|scope| {
@@ -1022,19 +899,23 @@ mod tests {
         let recorded =
             lad_traceio::suite::record_suite(&suite, SystemConfig::small_test().num_cores, &dir)
                 .unwrap();
-        let files: Vec<std::path::PathBuf> = recorded.iter().map(|r| r.path.clone()).collect();
-        let replayed = runner.replay_file_matrix(&files, &schemes).unwrap();
-        assert_eq!(replayed.len(), in_memory.len());
-        for ((benchmark, scheme), report) in &in_memory {
-            let from_file = &replayed[&(benchmark.label().to_string(), *scheme)];
-            assert_eq!(format!("{report:?}"), format!("{from_file:?}"));
+        // Every recorded file under every scheme replays to exactly its
+        // in-memory matrix cell.
+        assert_eq!(recorded.len(), suite.benchmarks().len());
+        for trace in &recorded {
+            for scheme in schemes {
+                let from_file = runner.replay_file(&trace.path, scheme).unwrap();
+                let (_, report) = in_memory
+                    .iter()
+                    .find(|((benchmark, id), _)| {
+                        benchmark.label() == trace.benchmark && *id == scheme
+                    })
+                    .expect("every recorded benchmark has an in-memory cell");
+                assert_eq!(format!("{report:?}"), format!("{from_file:?}"));
+            }
         }
 
-        // Single-file replay agrees too, and unknown schemes fail fast even
-        // for nonexistent paths.
-        let single = runner.replay_file(&files[0], SchemeId::StaticNuca).unwrap();
-        let key = (recorded[0].benchmark.clone(), SchemeId::StaticNuca);
-        assert_eq!(format!("{single:?}"), format!("{:?}", replayed[&key]));
+        // Unknown schemes fail fast even for nonexistent paths.
         assert!(matches!(
             runner.replay_file("/nonexistent.ladt", SchemeId::Custom("NOPE")),
             Err(ReplayError::UnknownScheme(_))
@@ -1042,17 +923,6 @@ mod tests {
         assert!(matches!(
             runner.replay_file(dir.join("missing.ladt"), SchemeId::StaticNuca),
             Err(ReplayError::Trace(_))
-        ));
-
-        // Two files whose headers claim the same benchmark name must be an
-        // error, not a silent overwrite of one file's reports.
-        let duplicate = dir.join("dedup-copy.ladt");
-        std::fs::copy(&files[0], &duplicate).unwrap();
-        let mut with_dup = files.clone();
-        with_dup.push(duplicate);
-        assert!(matches!(
-            runner.replay_file_matrix(&with_dup, &schemes),
-            Err(ReplayError::DuplicateBenchmark { benchmark }) if benchmark == recorded[0].benchmark
         ));
         std::fs::remove_dir_all(&dir).ok();
     }

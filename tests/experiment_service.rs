@@ -7,6 +7,7 @@
 //! Every test runs a real server on an ephemeral loopback port over its
 //! own temporary data directory.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -107,9 +108,14 @@ fn service_matches_direct_replay_and_caches_resubmissions() {
     let recorded = record_suite(&suite, 16, &dir.path().join("traces")).unwrap();
     let files: Vec<PathBuf> = recorded.iter().map(|t| t.path.clone()).collect();
     let schemes = [SchemeId::StaticNuca, SchemeId::Rt(3)];
-    let direct = ExperimentRunner::new(SystemConfig::small_test(), suite)
-        .replay_file_matrix(&files, &schemes)
-        .unwrap();
+    let runner = ExperimentRunner::new(SystemConfig::small_test(), suite);
+    let mut direct = BTreeMap::new();
+    for trace in &recorded {
+        for scheme in schemes {
+            let report = runner.replay_file(&trace.path, scheme).unwrap();
+            direct.insert((trace.benchmark.clone(), scheme), report);
+        }
+    }
 
     let server = Server::spawn(config(&dir)).unwrap();
     let mut client = connect(&server);
