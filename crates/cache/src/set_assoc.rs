@@ -1,9 +1,5 @@
 //! A generic set-associative cache array with pluggable victim selection.
 
-// The only `HashMap` here is the `to_map` diagnostics helper, whose
-// iteration order never feeds a report.  lad-lint: allow(hashmap)
-use std::collections::HashMap;
-
 use lad_common::types::CacheLine;
 
 use crate::replacement::EvictionPriority;
@@ -322,25 +318,6 @@ impl<V> SetAssocCache<V> {
         (resident, self.associativity)
     }
 
-    /// Lines resident in the same set as `line` (including `line` itself if
-    /// resident), most recently used last.
-    pub fn set_contents(&self, line: CacheLine) -> Vec<CacheLine> {
-        let base = self.set_base(line);
-        let mut ways: Vec<(u64, u64)> = (base..base + self.associativity)
-            .filter(|&slot| self.stamps[slot] != 0)
-            .map(|slot| (self.stamps[slot], self.tags[slot]))
-            .collect();
-        ways.sort_unstable();
-        ways.into_iter()
-            .map(|(_, tag)| CacheLine::from_index(tag))
-            .collect()
-    }
-
-    /// Collects the resident lines into a map (diagnostics / tests).
-    pub fn to_map(&self) -> HashMap<CacheLine, &V> {
-        self.iter().collect()
-    }
-
     /// Iterates over occupied slots as `(slot, tag, lru_stamp, value)` in
     /// slot order, for checkpointing.  Together with [`SetAssocCache::clock`]
     /// this captures the array exactly: replaying the tuples through
@@ -622,14 +599,14 @@ mod tests {
     }
 
     #[test]
-    fn iter_and_to_map() {
+    fn iter_visits_every_resident_entry() {
         let mut c = SetAssocCache::new(4, 2);
         for i in 0..6 {
             c.insert(line(i), i, &PlainLru);
         }
-        let map = c.to_map();
-        assert_eq!(map.len(), 6);
-        assert_eq!(map[&line(3)], &3);
+        let mut resident: Vec<_> = c.iter().map(|(l, v)| (l.index(), *v)).collect();
+        resident.sort_unstable();
+        assert_eq!(resident, (0..6).map(|i| (i, i)).collect::<Vec<_>>());
         for (_, v) in c.iter_mut() {
             *v += 100;
         }
@@ -687,6 +664,10 @@ mod tests {
         c.insert(line(2), (), &PlainLru);
         c.insert(line(3), (), &PlainLru);
         c.get(line(1));
-        assert_eq!(c.set_contents(line(0)), vec![line(2), line(3), line(1)]);
+        // Recency is now 2 < 3 < 1, so three fresh inserts evict in that order.
+        for (fresh, victim) in [(4, 2), (5, 3), (6, 1)] {
+            let evicted = c.insert(line(fresh), (), &PlainLru).unwrap();
+            assert_eq!(evicted.0, line(victim));
+        }
     }
 }

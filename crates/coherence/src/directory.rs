@@ -357,16 +357,6 @@ impl DirectoryEntry {
         self.debug_check_local_invariants();
     }
 
-    /// Invalidate-all bookkeeping helper: drops every sharer (used when the
-    /// home line itself is evicted from the LLC, which back-invalidates all
-    /// copies because the LLC is inclusive).
-    pub fn clear_all_sharers(&mut self) {
-        self.sharers.clear();
-        self.owner = None;
-        self.state = HomeState::Uncached;
-        self.debug_check_local_invariants();
-    }
-
     /// All cores that must be probed when the home line is evicted from the
     /// inclusive LLC (every tracked sharer; in global mode, everyone).
     pub fn back_invalidation_targets(&self, num_cores: usize) -> Vec<CoreId> {
@@ -590,8 +580,5 @@ mod tests {
         }
         assert!(e.sharers().is_global());
         assert_eq!(e.back_invalidation_targets(16).len(), 16);
-        e.clear_all_sharers();
-        assert!(e.is_uncached());
-        assert_eq!(e.sharer_count(), 0);
     }
 }

@@ -61,11 +61,6 @@ impl MesiState {
         }
     }
 
-    /// State after receiving an invalidation: always Invalid.
-    pub fn after_invalidation(self) -> MesiState {
-        MesiState::Invalid
-    }
-
     /// Parses the single-letter [`std::fmt::Display`] rendering ("M", "E",
     /// "S", "I") back into a state; `None` for anything else.
     pub fn parse(text: &str) -> Option<MesiState> {
@@ -137,14 +132,6 @@ mod tests {
         assert_eq!(MesiState::Exclusive.after_downgrade(), MesiState::Shared);
         assert_eq!(MesiState::Shared.after_downgrade(), MesiState::Shared);
         assert_eq!(MesiState::Invalid.after_downgrade(), MesiState::Invalid);
-        for s in [
-            MesiState::Modified,
-            MesiState::Exclusive,
-            MesiState::Shared,
-            MesiState::Invalid,
-        ] {
-            assert_eq!(s.after_invalidation(), MesiState::Invalid);
-        }
     }
 
     #[test]

@@ -267,18 +267,6 @@ impl SystemConfig {
         Ok(())
     }
 
-    /// The LLC home slice of a cache line under plain address interleaving
-    /// (Static-NUCA): line index modulo the number of cores.
-    pub fn address_interleaved_home(&self, line_index: u64) -> CoreId {
-        CoreId::new((line_index % self.num_cores as u64) as usize)
-    }
-
-    /// The DRAM controller responsible for a cache line (address
-    /// interleaved across controllers).
-    pub fn dram_controller_for(&self, line_index: u64) -> usize {
-        (line_index % self.dram.num_controllers as u64) as usize
-    }
-
     /// Core of the tile hosting DRAM controller `ctrl`.
     ///
     /// Controllers are spread evenly across the mesh; this gives the core
@@ -450,9 +438,6 @@ mod tests {
     #[test]
     fn home_and_dram_mapping_are_stable() {
         let c = SystemConfig::paper_default();
-        assert_eq!(c.address_interleaved_home(0).index(), 0);
-        assert_eq!(c.address_interleaved_home(65).index(), 1);
-        assert_eq!(c.dram_controller_for(9), 1);
         assert!(c.dram_controller_core(7).index() < c.num_cores);
         // All controllers map to distinct cores in the default config.
         let cores: std::collections::HashSet<_> = (0..c.dram.num_controllers)

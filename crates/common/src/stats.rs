@@ -47,15 +47,6 @@ impl Counter {
     pub fn value(self) -> u64 {
         self.0
     }
-
-    /// Fraction of this counter relative to a total (0 if the total is 0).
-    pub fn fraction_of(self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total as f64
-        }
-    }
 }
 
 impl fmt::Display for Counter {
@@ -331,8 +322,6 @@ mod tests {
         c.increment();
         c.add(9);
         assert_eq!(c.value(), 10);
-        assert!((c.fraction_of(40) - 0.25).abs() < 1e-12);
-        assert_eq!(c.fraction_of(0), 0.0);
         assert_eq!(c.to_string(), "10");
         assert_eq!(Counter::from_value(c.value()), c);
     }

@@ -376,12 +376,6 @@ impl MemoryAccess {
         self.class = class;
         self
     }
-
-    /// Sets the compute cycles preceding the access (builder style).
-    pub fn with_compute(mut self, cycles: u32) -> Self {
-        self.compute_cycles = cycles;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -461,12 +455,11 @@ mod tests {
     #[test]
     fn memory_access_builders() {
         let a = MemoryAccess::read(CoreId::new(3), Address::new(64))
-            .with_class(DataClass::SharedReadOnly)
-            .with_compute(12);
+            .with_class(DataClass::SharedReadOnly);
         assert_eq!(a.core.index(), 3);
         assert_eq!(a.op, MemOp::Read);
         assert_eq!(a.class, DataClass::SharedReadOnly);
-        assert_eq!(a.compute_cycles, 12);
+        assert_eq!(a.compute_cycles, 0);
         let w = MemoryAccess::write(CoreId::new(1), Address::new(0));
         assert!(w.op.is_write());
     }

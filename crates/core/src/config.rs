@@ -118,12 +118,6 @@ impl ReplicationConfig {
         self
     }
 
-    /// Sets the replication threshold (builder style).
-    pub fn with_replication_threshold(mut self, rt: u32) -> Self {
-        self.replication_threshold = rt.max(1);
-        self
-    }
-
     /// Sets the LLC replacement policy (builder style).
     pub fn with_llc_replacement(mut self, policy: LlcReplacementPolicy) -> Self {
         self.llc_replacement = policy;
@@ -286,10 +280,9 @@ mod tests {
 
     #[test]
     fn builders_and_validation() {
-        let config = ReplicationConfig::locality_aware(3)
+        let config = ReplicationConfig::locality_aware(5)
             .with_classifier(ClassifierKind::Complete)
             .with_cluster_size(4)
-            .with_replication_threshold(5)
             .with_llc_replacement(LlcReplacementPolicy::PlainLru);
         assert_eq!(config.classifier, ClassifierKind::Complete);
         assert_eq!(config.cluster_size, 4);
@@ -302,12 +295,6 @@ mod tests {
             ReplicationConfig::paper_default()
                 .with_cluster_size(0)
                 .cluster_size,
-            1
-        );
-        assert_eq!(
-            ReplicationConfig::paper_default()
-                .with_replication_threshold(0)
-                .replication_threshold,
             1
         );
 

@@ -134,14 +134,6 @@ impl LlcEntry {
             LlcEntry::Replica(replica) => Some(replica),
         }
     }
-
-    /// The replica entry mutably, if this is one.
-    pub fn as_replica_mut(&mut self) -> Option<&mut ReplicaEntry> {
-        match self {
-            LlcEntry::Home(_) => None,
-            LlcEntry::Replica(replica) => Some(replica),
-        }
-    }
 }
 
 impl SharerCount for LlcEntry {
@@ -197,13 +189,11 @@ mod tests {
         assert!(entry.as_home().is_some());
         assert!(entry.as_home_mut().is_some());
         assert!(entry.as_replica().is_none());
-        assert!(entry.as_replica_mut().is_none());
         assert_eq!(entry.l1_sharer_count(), 0);
 
-        let mut entry = LlcEntry::Replica(ReplicaEntry::new(MesiState::Shared, 3));
+        let entry = LlcEntry::Replica(ReplicaEntry::new(MesiState::Shared, 3));
         assert!(entry.is_replica());
         assert!(entry.as_replica().is_some());
-        assert!(entry.as_replica_mut().is_some());
         assert!(entry.as_home().is_none());
         assert_eq!(entry.l1_sharer_count(), 1);
     }

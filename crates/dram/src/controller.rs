@@ -16,13 +16,6 @@ pub struct DramAccess {
     pub completion: Cycle,
 }
 
-impl DramAccess {
-    /// Total latency (queueing + service).
-    pub fn total_latency(&self) -> Cycle {
-        self.queue_delay + self.service_latency
-    }
-}
-
 /// One memory controller: a single-server FIFO with fixed access latency and
 /// a bandwidth-derived occupancy per request.
 #[derive(Debug, Clone)]
@@ -187,11 +180,6 @@ impl DramSystem {
         self.controllers.iter().map(|c| c.accesses()).sum()
     }
 
-    /// Per-controller access counts.
-    pub fn per_controller_accesses(&self) -> Vec<u64> {
-        self.controllers.iter().map(|c| c.accesses()).collect()
-    }
-
     /// Clears all queue state and statistics.
     pub fn reset(&mut self) {
         for c in &mut self.controllers {
@@ -239,7 +227,6 @@ mod tests {
         // 75-cycle fixed latency + 64 bytes at 5 B/cycle = 13 cycles.
         assert_eq!(access.service_latency, Cycle::new(88));
         assert_eq!(access.completion, Cycle::new(188));
-        assert_eq!(access.total_latency(), Cycle::new(88));
         assert_eq!(ctrl.accesses(), 1);
     }
 
@@ -300,7 +287,8 @@ mod tests {
             sys.access(line, Cycle::ZERO);
         }
         assert_eq!(sys.total_accesses(), 16);
-        assert_eq!(sys.per_controller_accesses(), vec![2; 8]);
+        let served: Vec<u64> = sys.state().iter().map(|c| c.accesses).collect();
+        assert_eq!(served, vec![2; 8]);
         // Two accesses interleaved to the same controller queue behind each
         // other, different controllers do not interfere.
         let mut sys = system();

@@ -67,11 +67,6 @@ impl NetworkStats {
         self.router_traversals
     }
 
-    /// Mean delivered latency in cycles, or `None` if no messages were sent.
-    pub fn mean_latency(&self) -> Option<f64> {
-        self.latency.mean()
-    }
-
     /// Largest delivered latency.
     pub fn max_latency(&self) -> Cycle {
         Cycle::new(self.latency.max())
@@ -141,7 +136,7 @@ mod tests {
         assert_eq!(stats.flit_hops(), 2 * 9 + 3);
         assert_eq!(stats.router_traversals(), 3 * 9 + 4);
         assert_eq!(stats.max_latency(), Cycle::new(12));
-        assert!((stats.mean_latency().unwrap() - 9.0).abs() < 1e-12);
+        assert_eq!(stats.latency_distribution(), vec![(6, 1), (12, 1)]);
     }
 
     #[test]

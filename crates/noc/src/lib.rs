@@ -157,15 +157,6 @@ impl Network {
         &self.stats
     }
 
-    /// Resets traffic statistics and link occupancy (e.g. between the warmup
-    /// and measured phases of a simulation).
-    pub fn reset_stats(&mut self) {
-        self.stats = NetworkStats::default();
-        for link in &mut self.links {
-            *link = LinkState::default();
-        }
-    }
-
     /// Snapshots the link occupancy and statistics for checkpointing.
     pub fn state(&self) -> NetworkState {
         NetworkState {
@@ -383,7 +374,8 @@ mod tests {
         assert_eq!(stats.flit_hops(), 9 * 2 + 2);
         assert_eq!(stats.router_traversals(), (2 + 1) * 9 + (2 + 1));
         assert!(stats.max_latency().value() > 0);
-        net.reset_stats();
+        // Restoring an idle network's snapshot clears the statistics.
+        net.restore_state(&network().state());
         assert_eq!(net.stats().messages(), 0);
         assert_eq!(net.stats().flit_hops(), 0);
     }

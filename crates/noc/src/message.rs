@@ -17,13 +17,6 @@ pub enum MessageKind {
     Data,
 }
 
-impl MessageKind {
-    /// `true` if the message carries a cache-line payload.
-    pub fn carries_data(self) -> bool {
-        matches!(self, MessageKind::Data)
-    }
-}
-
 /// The outcome of injecting one message into the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
@@ -52,12 +45,6 @@ impl Delivery {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn message_kind_payload_flag() {
-        assert!(MessageKind::Data.carries_data());
-        assert!(!MessageKind::Control.carries_data());
-    }
 
     #[test]
     fn local_delivery_is_free() {

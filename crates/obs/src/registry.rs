@@ -270,9 +270,8 @@ impl MetricsRegistry {
     }
 
     /// Creates a disarmed registry: every handle it hands out is a no-op
-    /// whose record methods test one `bool` and return.  Used to measure
-    /// the cost of instrumentation itself (see the `metrics_overhead`
-    /// bench).
+    /// whose record methods test one `bool` and return.  Its instruments
+    /// still register, so a snapshot or exposition lists each at zero.
     pub fn noop() -> Self {
         MetricsRegistry {
             inner: Arc::new(RegistryInner {

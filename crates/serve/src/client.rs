@@ -60,16 +60,6 @@ impl RetryPolicy {
         }
     }
 
-    /// A single-attempt policy (fail fast, never sleep).
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 1,
-            base: Duration::ZERO,
-            cap: Duration::ZERO,
-            seed: 0,
-        }
-    }
-
     /// The backoff slept after failed attempt number `attempt` (1-based).
     pub fn backoff(&self, attempt: u32) -> Duration {
         let exp = self

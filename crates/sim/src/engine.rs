@@ -228,10 +228,9 @@ pub struct Simulator {
 }
 
 /// Pre-resolved engine instrument handles (see [`lad_obs`]).  Resolved
-/// from the process-wide registry by default; the overhead bench
-/// re-resolves against a disarmed registry through
-/// [`Simulator::set_metrics_registry`] to measure the cost of the
-/// instrumentation itself on the real execution path.
+/// from the process-wide registry by default;
+/// [`Simulator::set_metrics_registry`] re-resolves them against another
+/// registry, such as a disarmed [`MetricsRegistry::noop`].
 #[derive(Debug, Clone)]
 struct EngineMetrics {
     accesses: Counter,
@@ -354,10 +353,8 @@ impl Simulator {
 
     /// Re-resolves the engine's instrument handles against `registry`
     /// instead of the process-wide [`lad_obs::global`] default.  Recording
-    /// never affects simulation results; passing a
-    /// [`MetricsRegistry::noop`] registry disarms the handles entirely,
-    /// which is how the `metrics_overhead` bench isolates the cost of the
-    /// instrumentation on the real execution path.
+    /// never affects simulation results; a [`MetricsRegistry::noop`]
+    /// registry disarms the handles, so its instruments export zero.
     pub fn set_metrics_registry(&mut self, registry: &MetricsRegistry) {
         self.obs = EngineMetrics::resolve(registry);
     }
@@ -2367,5 +2364,37 @@ mod tests {
         let mut sim = Simulator::new(SystemConfig::small_test(), ReplicationConfig::static_nuca());
         let trace = TraceGenerator::new(Benchmark::Dedup.profile()).generate(64, 10, 1);
         sim.run(&trace);
+    }
+
+    #[test]
+    fn metrics_registry_observes_without_changing_results() {
+        let exported_accesses = |registry: &MetricsRegistry| {
+            let sample = registry
+                .snapshot()
+                .into_iter()
+                .find(|sample| sample.name == "lad_engine_accesses_total");
+            match sample.map(|sample| sample.value) {
+                Some(lad_obs::SampleValue::Counter(n)) => Some(n),
+                _ => None,
+            }
+        };
+        let trace = small_trace(Benchmark::Barnes, 400, 42);
+        let report_json = |registry: &MetricsRegistry| {
+            let mut sim = Simulator::new(
+                SystemConfig::small_test(),
+                ReplicationConfig::locality_aware(3),
+            );
+            sim.set_metrics_registry(registry);
+            sim.run(&trace);
+            sim.report().to_json().to_string()
+        };
+        let armed = MetricsRegistry::new();
+        let noop = MetricsRegistry::noop();
+        assert_eq!(report_json(&armed), report_json(&noop));
+        assert_eq!(
+            exported_accesses(&armed),
+            Some(trace.total_accesses() as u64)
+        );
+        assert_eq!(exported_accesses(&noop), Some(0));
     }
 }

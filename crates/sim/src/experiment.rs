@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use lad_common::config::SystemConfig;
 use lad_common::json::JsonValue;
-use lad_common::stats::{geometric_mean, mean, normalized};
+use lad_common::stats::{mean, normalized};
 use lad_energy::model::EnergyModel;
 use lad_replication::config::ReplicationConfig;
 use lad_replication::policies::AsrPolicy;
@@ -155,12 +155,6 @@ impl ExperimentRunner {
     /// Limits the number of worker threads (builder style).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Replaces the scheme registry (builder style).
-    pub fn with_registry(mut self, registry: SchemeRegistry) -> Self {
-        self.registry = registry;
         self
     }
 
@@ -364,16 +358,14 @@ impl ExperimentRunner {
     ///
     /// # Panics
     ///
-    /// Panics if a custom registry (see
-    /// [`ExperimentRunner::with_registry`]) dropped one of the built-in
-    /// schemes of the sweep.
+    /// Never in practice: the runner's registry starts from
+    /// [`SchemeRegistry::builtin`] and
+    /// [`ExperimentRunner::register_scheme`] only adds or replaces entries,
+    /// so every scheme of the sweep resolves.
     pub fn run_paper_comparison(&self) -> SchemeComparison {
         let results = match self.run_matrix(&Self::paper_sweep()) {
             Ok(results) => results,
-            Err(error) => panic!(
-                "the paper sweep must be registered \
-                 (is a custom registry missing built-ins?): {error}"
-            ),
+            Err(error) => panic!("the built-in paper sweep is always registered: {error}"),
         };
         SchemeComparison::from_results(self.suite.benchmarks().to_vec(), results)
     }
@@ -544,37 +536,6 @@ impl SchemeComparison {
         Ok(mean(&values).unwrap_or(1.0))
     }
 
-    /// Geometric mean of normalized energy (used by Figures 9 and 10).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownScheme`] when any benchmark is missing either
-    /// report.
-    pub fn geomean_normalized_energy(
-        &self,
-        scheme: SchemeId,
-        baseline: SchemeId,
-    ) -> Result<f64, UnknownScheme> {
-        let values = self.normalized_over_benchmarks(scheme, baseline, Self::normalized_energy)?;
-        Ok(geometric_mean(&values).unwrap_or(1.0))
-    }
-
-    /// Geometric mean of normalized completion time (Figures 9 and 10).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownScheme`] when any benchmark is missing either
-    /// report.
-    pub fn geomean_normalized_completion_time(
-        &self,
-        scheme: SchemeId,
-        baseline: SchemeId,
-    ) -> Result<f64, UnknownScheme> {
-        let values =
-            self.normalized_over_benchmarks(scheme, baseline, Self::normalized_completion_time)?;
-        Ok(geometric_mean(&values).unwrap_or(1.0))
-    }
-
     /// The headline result of the paper: the percentage reduction in energy
     /// and completion time of `scheme` relative to `baseline`, averaged
     /// over benchmarks.  Returns `(energy_reduction_pct, time_reduction_pct)`.
@@ -727,8 +688,6 @@ mod tests {
         );
         assert!((cmp.average_normalized_energy(rt3, snuca).unwrap() - 0.8).abs() < 1e-12);
         assert!((cmp.average_normalized_completion_time(rt3, snuca).unwrap() - 0.9).abs() < 1e-12);
-        assert!((cmp.geomean_normalized_energy(rt3, snuca).unwrap() - 0.8).abs() < 1e-9);
-        assert!((cmp.geomean_normalized_completion_time(rt3, snuca).unwrap() - 0.9).abs() < 1e-9);
         let (e_red, t_red) = cmp.reduction_vs(rt3, snuca).unwrap();
         assert!((e_red - 20.0).abs() < 1e-9);
         assert!((t_red - 10.0).abs() < 1e-9);
@@ -766,9 +725,6 @@ mod tests {
         // Aggregates propagate the error.
         assert!(cmp
             .average_normalized_energy(SchemeId::Rt(3), SchemeId::StaticNuca)
-            .is_err());
-        assert!(cmp
-            .geomean_normalized_energy(SchemeId::Rt(3), SchemeId::StaticNuca)
             .is_err());
         assert!(cmp
             .reduction_vs(SchemeId::Rt(3), SchemeId::StaticNuca)

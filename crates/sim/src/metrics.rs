@@ -532,16 +532,6 @@ impl SimulationReport {
         self.energy.total() * self.completion_time.value() as f64
     }
 
-    /// Average memory latency per access in cycles (excluding compute).
-    pub fn average_memory_latency(&self) -> f64 {
-        if self.total_accesses == 0 {
-            return 0.0;
-        }
-        let memory_cycles =
-            self.latency.total() - self.latency.compute - self.latency.synchronization;
-        memory_cycles as f64 / self.total_accesses as f64
-    }
-
     /// The full report as a JSON object — the machine-readable form emitted
     /// by the figure binaries' `--json` flag.  Numeric values round-trip
     /// exactly through [`SimulationReport::from_json`].
@@ -793,7 +783,6 @@ mod tests {
             classifier: ClassifierStats::default(),
         };
         assert!((report.energy_delay_product() - 1000.0 * 500.0).abs() < 1e-9);
-        assert!((report.average_memory_latency() - 3.0).abs() < 1e-9);
         let text = report.to_string();
         assert!(text.contains("TEST"));
         assert!(text.contains("RT-3"));

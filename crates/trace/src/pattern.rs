@@ -99,17 +99,6 @@ impl AddressSpace {
         self.private_lines_per_core
     }
 
-    /// Total distinct lines in the layout.
-    pub fn total_lines(&self) -> u64 {
-        self.private_base + self.private_footprint_lines()
-    }
-
-    fn private_footprint_lines(&self) -> u64 {
-        let per_core_aligned =
-            self.private_lines_per_core.div_ceil(LINES_PER_PAGE) * LINES_PER_PAGE;
-        per_core_aligned * self.num_cores as u64
-    }
-
     /// The byte address of instruction line `index`.
     pub fn instruction_address(&self, index: u64) -> Address {
         Address::new((self.instruction_base + index % self.instruction_lines) * LINE_BYTES)
@@ -378,11 +367,5 @@ mod tests {
         assert!((high.expected_run_length() - 10.0).abs() < 1e-9);
         let clamped = ReuseModel::with_probability(7.0);
         assert_eq!(clamped.continue_probability, 1.0);
-    }
-
-    #[test]
-    fn total_lines_covers_every_region() {
-        let s = space();
-        assert!(s.total_lines() >= 64 + 128 + 256 + 4 * 100);
     }
 }

@@ -50,14 +50,6 @@ impl TraceDigest {
     pub fn to_hex(self) -> String {
         format!("{:016x}", self.0)
     }
-
-    /// Parses the canonical hex rendering back into a digest.
-    pub fn parse_hex(text: &str) -> Option<TraceDigest> {
-        if text.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(text, 16).ok().map(TraceDigest)
-    }
 }
 
 impl std::fmt::Display for TraceDigest {
@@ -244,9 +236,7 @@ mod tests {
         let hex = digest.to_hex();
         assert_eq!(hex.len(), 16);
         assert_eq!(hex, digest.to_string());
-        assert_eq!(TraceDigest::parse_hex(&hex), Some(digest));
-        assert_eq!(TraceDigest::parse_hex("xyz"), None);
-        assert_eq!(TraceDigest::parse_hex(""), None);
+        assert_eq!(u64::from_str_radix(&hex, 16), Ok(digest.value()));
     }
 
     #[test]
