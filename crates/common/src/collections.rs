@@ -16,7 +16,7 @@
 // lad-lint: allow(hashmap) — this module exists to wrap HashMap with a
 // deterministic hasher; consumers are still linted.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Fixed multiplier from the FxHash construction (a large prime-ish odd
@@ -99,9 +99,6 @@ pub type FastBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed by the deterministic [`FxHasher`].
 pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;
 
-/// A `HashSet` keyed by the deterministic [`FxHasher`].
-pub type FastSet<K> = HashSet<K, FastBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,8 +135,5 @@ mod tests {
         }
         assert_eq!(map.len(), 100);
         assert_eq!(map.get(&42), Some(&84));
-        let mut set: FastSet<u64> = FastSet::default();
-        set.insert(7);
-        assert!(set.contains(&7));
     }
 }

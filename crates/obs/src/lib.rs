@@ -1,15 +1,12 @@
 //! `lad-obs`: the workspace's observability subsystem.
 //!
-//! Three pieces, all dependency-free:
+//! Two pieces, both dependency-free:
 //!
 //! * **Metrics** ([`registry`]) — a [`MetricsRegistry`] of typed
 //!   instruments ([`Counter`], [`Gauge`], [`LatencyHistogram`]) resolved
 //!   once into handles whose record path is a single `Relaxed` atomic
 //!   operation.  [`MetricsRegistry::noop`] hands out disarmed handles for
 //!   measuring the instrumentation overhead itself.
-//! * **Tracing** ([`trace`]) — a bounded per-thread ring-buffer
-//!   [`Tracer`] of structured [`TraceEvent`]s with monotonic timestamps
-//!   and RAII [`Span`]s, drained on demand for post-mortem queries.
 //! * **Exposition** ([`export`]) — [`prometheus_text`] renders a
 //!   snapshot in the Prometheus text format (histograms as summaries
 //!   with *exact* quantiles); [`metrics_json`] renders the same data
@@ -28,10 +25,8 @@
 
 pub mod export;
 pub mod registry;
-pub mod trace;
 
 pub use export::{metrics_json, prometheus_text, EXPORT_QUANTILES};
 pub use registry::{
     global, Counter, Gauge, Label, LatencyHistogram, MetricSample, MetricsRegistry, SampleValue,
 };
-pub use trace::{global_tracer, Span, TraceEvent, Tracer};

@@ -11,7 +11,6 @@
 //! lad-client --addr HOST:PORT result <JOB> [--json <PATH>]
 //! lad-client --addr HOST:PORT wait <JOB> [--json <PATH>]
 //! lad-client --addr HOST:PORT cancel <JOB>
-//! lad-client --addr HOST:PORT stats
 //! lad-client --addr HOST:PORT health
 //! lad-client --addr HOST:PORT metrics [--prometheus] [--json <PATH>]
 //! lad-client --addr HOST:PORT watch [--interval MS] [--count N]
@@ -25,12 +24,12 @@
 //! jitter; every verb is idempotent, so resending is safe — see
 //! [`lad_serve::client`]).
 //!
-//! `stats` leads with a human-readable summary (queue, cache mode, reaped
-//! connections) before the raw JSON; `metrics` fetches one observability
-//! snapshot (`--prometheus` prints the text exposition alone, for
-//! scraping); `watch` polls `stats` + `metrics` and redraws a one-screen
-//! live view (jobs in flight, queue depth, cache hit rate, p50/p99 verb
-//! latency, injected-fault counts).
+//! `metrics` fetches one observability snapshot, the service's only
+//! numeric report (`--prometheus` prints the text exposition alone, for
+//! scraping); `watch` polls `metrics` and redraws a one-screen live view
+//! (jobs in flight, queue depth, cache hit rate, p50/p99 verb latency,
+//! injected-fault counts).  `health` answers only `status` and
+//! `cache_mode`.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -53,7 +52,6 @@ USAGE:
   lad-client --addr HOST:PORT result <JOB> [--json <PATH>]
   lad-client --addr HOST:PORT wait <JOB> [--json <PATH>]
   lad-client --addr HOST:PORT cancel <JOB>
-  lad-client --addr HOST:PORT stats
   lad-client --addr HOST:PORT health
   lad-client --addr HOST:PORT metrics [--prometheus] [--json <PATH>]
   lad-client --addr HOST:PORT watch [--interval MS] [--count N]
@@ -63,10 +61,11 @@ All commands accept `--retries N` (default 4): on a dropped connection
 the client reconnects and resends with exponential backoff; every verb
 is idempotent so a resend never double-executes work.
 
-`metrics` fetches one observability snapshot; `--prometheus` prints only
-the text exposition (for scraping).  `watch` redraws a live one-screen
-view every `--interval` ms (default 1000) until interrupted, or exactly
-`--count` times.
+`metrics` fetches one observability snapshot, every counter and gauge the
+service reports; `--prometheus` prints only the text exposition (for
+scraping).  `watch` redraws a live one-screen view from one `metrics`
+snapshot every `--interval` ms (default 1000) until interrupted, or
+exactly `--count` times.
 
 Schemes are the registry labels: S-NUCA, R-NUCA, VR, ASR-<level>, RT-<k>.
 `upload` sends a local trace to the server's store and prints its digest
@@ -174,7 +173,6 @@ fn run(args: &mut Vec<String>) -> Result<(), String> {
         "result" => cmd_job_verb_json(args, |job| client.result(job)),
         "wait" => cmd_job_verb_json(args, |job| client.wait(job, POLL)),
         "cancel" => cmd_job_verb(args, |job| client.cancel(job)),
-        "stats" => cmd_stats(&mut client, args),
         "health" => {
             no_leftovers(args)?;
             emit(&client.health().map_err(|err| err.to_string())?, None)
@@ -279,17 +277,6 @@ fn cmd_job_verb(
     emit(&call(&job).map_err(|err| err.to_string())?, None)
 }
 
-/// `stats` with a human-readable lead: the summary surfaces the numbers
-/// an operator scans for — queue pressure, cache mode (loud when
-/// degraded) and reaped connections — before the raw JSON frame that
-/// scripts parse.
-fn cmd_stats(client: &mut Client, args: &[String]) -> Result<(), String> {
-    no_leftovers(args)?;
-    let stats = client.stats().map_err(|err| err.to_string())?;
-    print_stdout(&format!("{}\n", stats_summary(&stats)));
-    emit(&stats, None)
-}
-
 /// Reads a `u64` at a nested object path, defaulting to 0.
 fn field_u64(value: &JsonValue, path: &[&str]) -> u64 {
     let mut cursor = value;
@@ -314,34 +301,6 @@ fn field_str<'a>(value: &'a JsonValue, path: &[&str]) -> &'a str {
     cursor.as_str().unwrap_or("?")
 }
 
-fn stats_summary(stats: &JsonValue) -> String {
-    let mode = match field_str(stats, &["cache", "mode"]) {
-        "degraded" => "DEGRADED (memory-only after disk errors)".to_string(),
-        other => other.to_string(),
-    };
-    format!(
-        "workers {} | queue {}/{} | jobs {} active, {} submitted\n\
-         cells: {} executed, {} resumed, {} failed\n\
-         cache: {} entries, {} hits / {} misses, mode {mode}\n\
-         connections: {} accepted, {} frames, {} errors, {} reaped\n",
-        field_u64(stats, &["workers"]),
-        field_u64(stats, &["queue", "depth"]),
-        field_u64(stats, &["queue", "limit"]),
-        field_u64(stats, &["jobs", "active"]),
-        field_u64(stats, &["jobs", "submitted"]),
-        field_u64(stats, &["cells", "executed"]),
-        field_u64(stats, &["cells", "resumed"]),
-        field_u64(stats, &["cells", "failed"]),
-        field_u64(stats, &["cache", "entries"]),
-        field_u64(stats, &["cache", "hits"]),
-        field_u64(stats, &["cache", "misses"]),
-        field_u64(stats, &["connections", "accepted"]),
-        field_u64(stats, &["connections", "frames"]),
-        field_u64(stats, &["connections", "errors"]),
-        field_u64(stats, &["connections", "reaped"]),
-    )
-}
-
 fn cmd_metrics(client: &mut Client, args: &mut Vec<String>) -> Result<(), String> {
     let prometheus = take_switch(args, "--prometheus");
     let json_path = take_flag(args, "--json")?;
@@ -363,9 +322,8 @@ fn cmd_metrics(client: &mut Client, args: &mut Vec<String>) -> Result<(), String
     }
 }
 
-/// `watch`: polls `stats` + `metrics` and redraws a one-screen live view
-/// every `--interval` ms (default 1000), forever or exactly `--count`
-/// times.
+/// `watch`: polls `metrics` and redraws a one-screen live view every
+/// `--interval` ms (default 1000), forever or exactly `--count` times.
 fn cmd_watch(addr: &str, client: &mut Client, args: &mut Vec<String>) -> Result<(), String> {
     let interval = match take_flag(args, "--interval")? {
         Some(value) => Duration::from_millis(parse_number(&value, "--interval")?),
@@ -378,14 +336,13 @@ fn cmd_watch(addr: &str, client: &mut Client, args: &mut Vec<String>) -> Result<
     no_leftovers(args)?;
     let mut drawn = 0u64;
     loop {
-        let stats = client.stats().map_err(|err| err.to_string())?;
         let metrics = client.metrics().map_err(|err| err.to_string())?;
         let mut screen = String::new();
         if drawn > 0 {
             // Home + clear-to-end: redraw in place without scrollback spam.
             screen.push_str("\x1b[H\x1b[J");
         }
-        screen.push_str(&watch_screen(addr, &stats, &metrics, interval));
+        screen.push_str(&watch_screen(addr, &metrics, interval));
         print_stdout(&screen);
         drawn += 1;
         if count != 0 && drawn >= count {
@@ -395,58 +352,62 @@ fn cmd_watch(addr: &str, client: &mut Client, args: &mut Vec<String>) -> Result<
     }
 }
 
-fn watch_screen(addr: &str, stats: &JsonValue, metrics: &JsonValue, interval: Duration) -> String {
+fn watch_screen(addr: &str, metrics: &JsonValue, interval: Duration) -> String {
     let empty = Vec::new();
     let entries = metrics
         .get("metrics")
         .and_then(|m| m.get("metrics"))
         .and_then(JsonValue::as_array)
         .unwrap_or(&empty);
-    let metric_u64 = |name: &str| -> u64 {
+    let metric = |name: &str| -> u64 {
         entries
             .iter()
             .filter(|e| e.get("name").and_then(JsonValue::as_str) == Some(name))
-            .map(|e| e.get("value").and_then(JsonValue::as_u64).unwrap_or(0))
+            .map(|e| field_u64(e, &["value"]))
             .sum()
     };
-    let hits = field_u64(stats, &["cache", "hits"]);
-    let misses = field_u64(stats, &["cache", "misses"]);
+    let hits = metric("lad_serve_cache_hits_total");
+    let misses = metric("lad_serve_cache_misses_total");
     let lookups = hits + misses;
     let hit_rate = if lookups > 0 {
         format!("{:.1}%", 100.0 * hits as f64 / lookups as f64)
     } else {
         "n/a".to_string()
     };
+    let mode = match metric("lad_serve_cache_mode") {
+        0 => "durable",
+        1 => "memory",
+        _ => "degraded",
+    };
     let mut screen = format!(
         "lad-serve @ {addr} — protocol v{}, {} workers{}\n\
          jobs   : {} in flight, {} submitted\n\
          queue  : {} / {} queued, {} workers busy\n\
          cells  : {} executed, {} resumed, {} failed, {} checkpoints\n\
-         cache  : {} entries, hit rate {hit_rate} ({hits} hits / {misses} misses), mode {}\n\
+         cache  : {} entries, hit rate {hit_rate} ({hits} hits / {misses} misses), mode {mode}\n\
          conns  : {} accepted, {} frames in / {} out, {} errors, {} reaped\n",
-        field_u64(stats, &["protocol"]),
-        field_u64(stats, &["workers"]),
-        if stats.get("shutting_down").and_then(JsonValue::as_bool) == Some(true) {
+        metric("lad_serve_protocol_version"),
+        metric("lad_serve_workers"),
+        if metric("lad_serve_draining") == 1 {
             "  [DRAINING]"
         } else {
             ""
         },
-        field_u64(stats, &["jobs", "active"]),
-        field_u64(stats, &["jobs", "submitted"]),
-        field_u64(stats, &["queue", "depth"]),
-        field_u64(stats, &["queue", "limit"]),
-        metric_u64("lad_serve_workers_busy"),
-        field_u64(stats, &["cells", "executed"]),
-        field_u64(stats, &["cells", "resumed"]),
-        field_u64(stats, &["cells", "failed"]),
-        field_u64(stats, &["cells", "checkpoints_written"]),
-        field_u64(stats, &["cache", "entries"]),
-        field_str(stats, &["cache", "mode"]),
-        field_u64(stats, &["connections", "accepted"]),
-        field_u64(stats, &["connections", "frames"]),
-        metric_u64("lad_serve_frames_out_total"),
-        field_u64(stats, &["connections", "errors"]),
-        field_u64(stats, &["connections", "reaped"]),
+        metric("lad_serve_jobs_active"),
+        metric("lad_serve_jobs_submitted_total"),
+        metric("lad_serve_queue_depth"),
+        metric("lad_serve_queue_limit"),
+        metric("lad_serve_workers_busy"),
+        metric("lad_serve_cells_executed_total"),
+        metric("lad_serve_cells_resumed_total"),
+        metric("lad_serve_cells_failed_total"),
+        metric("lad_serve_checkpoints_written_total"),
+        metric("lad_serve_cache_entries"),
+        metric("lad_serve_connections_total"),
+        metric("lad_serve_frames_in_total"),
+        metric("lad_serve_frames_out_total"),
+        metric("lad_serve_errors_total"),
+        metric("lad_serve_reaped_total"),
     );
     let verbs: Vec<&JsonValue> = entries
         .iter()

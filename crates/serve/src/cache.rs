@@ -86,7 +86,7 @@ impl fmt::Display for CacheKey {
 }
 
 /// In-memory result cache with a digest-sealed JSON spill directory,
-/// hit/miss counters (reported by the `stats` verb), and a degraded
+/// hit/miss counters (exported by the `metrics` verb), and a degraded
 /// memory-only mode it falls back to on persistent disk errors so the
 /// service keeps answering instead of dying.
 #[derive(Debug)]
@@ -95,7 +95,6 @@ pub struct ResultCache {
     entries: Mutex<BTreeMap<CacheKey, SimulationReport>>,
     hits: Counter,
     misses: Counter,
-    quarantined: Counter,
     spill_errors: Counter,
     consecutive_failures: AtomicU64,
     degraded: AtomicBool,
@@ -143,17 +142,17 @@ impl ResultCache {
                 }
             }
         }
-        let quarantine_counter = registry.counter(
-            "lad_serve_cache_quarantined_total",
-            "spill files quarantined as corrupt, torn, or schema-foreign",
-        );
-        quarantine_counter.add(quarantined);
+        registry
+            .counter(
+                "lad_serve_cache_quarantined_total",
+                "spill files quarantined as corrupt, torn, or schema-foreign",
+            )
+            .add(quarantined);
         Ok(ResultCache {
             dir,
             entries: Mutex::new(entries),
             hits: registry.counter("lad_serve_cache_hits_total", "result-cache lookup hits"),
             misses: registry.counter("lad_serve_cache_misses_total", "result-cache lookup misses"),
-            quarantined: quarantine_counter,
             spill_errors: registry.counter(
                 "lad_serve_cache_spill_errors_total",
                 "failed spill writes to the cache directory",
@@ -186,7 +185,7 @@ impl ResultCache {
     /// Spill failures degrade, never poison: after [`DEGRADE_AFTER`]
     /// consecutive failures (or one `ENOSPC`) the cache flips to
     /// memory-only mode and stops touching the disk — surfaced through
-    /// [`ResultCache::mode`] and the `stats`/`health` verbs.
+    /// [`ResultCache::mode`] and the `health` and `metrics` verbs.
     ///
     /// # Errors
     ///
@@ -233,27 +232,6 @@ impl ResultCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Lookup hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.value()
-    }
-
-    /// Lookup misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.value()
-    }
-
-    /// Spill files quarantined (corrupt, torn, or legacy-format) since
-    /// this instance opened.
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined.value()
-    }
-
-    /// Failed spill writes since this instance opened.
-    pub fn spill_errors(&self) -> u64 {
-        self.spill_errors.value()
     }
 
     /// Whether persistent disk errors have flipped the cache to
@@ -317,6 +295,12 @@ mod tests {
         sim.run(&trace)
     }
 
+    /// The value of the cache counter `name` on `registry`: registration
+    /// is idempotent, so this resolves the cache's own counter.
+    fn count(registry: &MetricsRegistry, name: &str) -> u64 {
+        registry.counter(name, "").value()
+    }
+
     fn key(scheme: &str) -> CacheKey {
         CacheKey {
             trace: "00112233aabbccdd".into(),
@@ -331,34 +315,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let report = small_report();
 
-        let cache = ResultCache::open(
-            Some(dir.clone()),
-            FaultInjector::disarmed(),
-            &MetricsRegistry::new(),
-        )
-        .unwrap();
+        let registry = MetricsRegistry::new();
+        let cache =
+            ResultCache::open(Some(dir.clone()), FaultInjector::disarmed(), &registry).unwrap();
         assert!(cache.is_empty());
         assert_eq!(cache.mode(), "durable");
         assert!(cache.lookup(&key("RT-3")).is_none());
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(count(&registry, "lad_serve_cache_misses_total"), 1);
         cache.insert(key("RT-3"), report.clone()).unwrap();
         let hit = cache.lookup(&key("RT-3")).unwrap();
         assert_eq!(hit.to_json().pretty(), report.to_json().pretty());
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(count(&registry, "lad_serve_cache_hits_total"), 1);
 
         // A second instance over the same directory sees the entry;
         // corrupt extra files are quarantined, not fatal, and never
         // served.
         std::fs::write(dir.join("garbage.json"), "{not json").unwrap();
         std::fs::write(dir.join("not-a-report.json"), "{\"key\": 3}").unwrap();
-        let reloaded = ResultCache::open(
-            Some(dir.clone()),
-            FaultInjector::disarmed(),
-            &MetricsRegistry::new(),
-        )
-        .unwrap();
+        let registry = MetricsRegistry::new();
+        let reloaded =
+            ResultCache::open(Some(dir.clone()), FaultInjector::disarmed(), &registry).unwrap();
         assert_eq!(reloaded.len(), 1);
-        assert_eq!(reloaded.quarantined(), 2);
+        assert_eq!(count(&registry, "lad_serve_cache_quarantined_total"), 2);
         assert!(dir.join("garbage.json.quarantine").is_file());
         assert!(!dir.join("garbage.json").exists());
         let hit = reloaded.lookup(&key("RT-3")).unwrap();
@@ -388,17 +366,14 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
-        let reloaded = ResultCache::open(
-            Some(dir.clone()),
-            FaultInjector::disarmed(),
-            &MetricsRegistry::new(),
-        )
-        .unwrap();
+        let registry = MetricsRegistry::new();
+        let reloaded =
+            ResultCache::open(Some(dir.clone()), FaultInjector::disarmed(), &registry).unwrap();
         assert!(
             reloaded.lookup(&key("RT-3")).is_none(),
             "corrupt entry served"
         );
-        assert_eq!(reloaded.quarantined(), 1);
+        assert_eq!(count(&registry, "lad_serve_cache_quarantined_total"), 1);
         assert!(durable::quarantine_path(&path).is_file());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -413,17 +388,14 @@ mod tests {
         let report = small_report();
         // One ENOSPC is enough to degrade.
         let plan = FaultPlan::parse("cache-spill:1:enospc").unwrap();
-        let cache = ResultCache::open(
-            Some(dir.clone()),
-            FaultInjector::armed(plan),
-            &MetricsRegistry::new(),
-        )
-        .unwrap();
+        let registry = MetricsRegistry::new();
+        let cache =
+            ResultCache::open(Some(dir.clone()), FaultInjector::armed(plan), &registry).unwrap();
         let err = cache.insert(key("RT-3"), report.clone()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
         assert!(cache.is_degraded());
         assert_eq!(cache.mode(), "degraded");
-        assert_eq!(cache.spill_errors(), 1);
+        assert_eq!(count(&registry, "lad_serve_cache_spill_errors_total"), 1);
         // The in-memory entry still serves, and later inserts succeed
         // memory-only without touching the disk.
         assert!(cache.lookup(&key("RT-3")).is_some());

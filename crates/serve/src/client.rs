@@ -19,7 +19,7 @@
 //! * `cancel` — cancelling an already-cancelled job is a no-op.
 //! * `shutdown` — asking a draining server to drain again is a no-op (and
 //!   a vanished server means the shutdown took effect).
-//! * `status` / `result` / `stats` / `health` / `metrics` — read-only.
+//! * `status` / `result` / `health` / `metrics` — read-only.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -396,18 +396,10 @@ impl Client {
         self.verb("cancel", vec![("job", JsonValue::from(job))])
     }
 
-    /// Fetches service-wide counters (queue depth, cache hits, ...).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::call`].
-    pub fn stats(&mut self) -> Result<JsonValue, ClientError> {
-        self.verb("stats", vec![])
-    }
-
     /// Fetches the service's health summary: overall status (`"ok"` or
-    /// `"degraded"`), the cache's durability mode, and quarantine /
-    /// spill-error counters.
+    /// `"degraded"`) and the cache's durability mode.  The counters
+    /// behind it (quarantines, spill errors) are [`Client::metrics`]
+    /// samples.
     ///
     /// # Errors
     ///
@@ -416,9 +408,9 @@ impl Client {
         self.verb("health", vec![])
     }
 
-    /// Fetches one metrics snapshot: the response carries the Prometheus
-    /// text exposition under `"prometheus"` and the native JSON samples
-    /// under `"metrics"`.
+    /// Fetches one metrics snapshot, the service's only numeric report:
+    /// the response carries the Prometheus text exposition under
+    /// `"prometheus"` and the native JSON samples under `"metrics"`.
     ///
     /// # Errors
     ///

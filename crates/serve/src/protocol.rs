@@ -16,10 +16,10 @@
 //!                              "message": string}} "\n"
 //! ```
 //!
-//! The verbs are `upload`, `submit`, `status`, `result`, `cancel`, `stats`,
+//! The verbs are `upload`, `submit`, `status`, `result`, `cancel`,
 //! `health`, `metrics` and `shutdown` (see the README's protocol
-//! specification for the
-//! per-verb fields).  Error `code`s follow the familiar HTTP meanings
+//! specification for the per-verb fields).  `metrics` is the one verb
+//! that reports numbers; `health` answers only `status` and `cache_mode`.  Error `code`s follow the familiar HTTP meanings
 //! (`400` malformed input, `404` unknown resource, `409` not finished,
 //! `410` cancelled, `429` queue full, `500` execution failure, `503`
 //! shutting down); `kind` is a stable machine-readable discriminator.
@@ -30,8 +30,12 @@ use std::path::PathBuf;
 use lad_common::json::JsonValue;
 use lad_sim::experiment::ReplayError;
 
-/// Version tag of the wire protocol, reported by the `stats` verb.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Version tag of the wire protocol, exported by the `metrics` verb as
+/// the `lad_serve_protocol_version` gauge.  Version 2 folded version 1's
+/// counter verb into `metrics` (a version-1 client that still sends it
+/// gets `400 unknown_verb`) and slimmed `health` to `status` and
+/// `cache_mode`.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Everything that can go wrong serving a request, with a stable
 /// HTTP-style [`ServeError::code`] and machine-readable

@@ -195,13 +195,13 @@ struct State {
 
 /// The verbs the service answers, in dispatch order — the pre-resolved
 /// per-verb latency histograms cover exactly this set.
-const VERBS: [&str; 9] = [
-    "upload", "submit", "status", "result", "cancel", "stats", "health", "metrics", "shutdown",
+const VERBS: [&str; 8] = [
+    "upload", "submit", "status", "result", "cancel", "health", "metrics", "shutdown",
 ];
 
-/// Service-wide instruments: every counter the `stats` verb reports plus
-/// the latency histograms and gauges the `metrics` verb exports, all
-/// pre-resolved on this server's own [`MetricsRegistry`].
+/// Service-wide instruments: the counters, gauges and latency histograms
+/// the `metrics` verb exports, all pre-resolved on this server's own
+/// [`MetricsRegistry`].
 ///
 /// The registry is per-instance (not [`lad_obs::global`]) so two servers
 /// in one process — the restart tests — never share counters; the
@@ -231,6 +231,11 @@ struct ServiceMetrics {
     cache_entries: Gauge,
     /// 0 = durable, 1 = memory-only (no directory), 2 = degraded.
     cache_mode: Gauge,
+    workers: Gauge,
+    queue_limit: Gauge,
+    protocol_version: Gauge,
+    /// 1 once the server is draining (shutdown verb or dropped handle).
+    draining: Gauge,
     /// Time a cell sat queued before a worker claimed it.
     cell_queue_wait_us: LatencyHistogram,
     /// Wall clock of one cell execution (resume prefix excluded).
@@ -299,6 +304,13 @@ impl ServiceMetrics {
             cache_mode: gauge(
                 "lad_serve_cache_mode",
                 "result-cache mode: 0 durable, 1 memory-only, 2 degraded",
+            ),
+            workers: gauge("lad_serve_workers", "configured worker threads"),
+            queue_limit: gauge("lad_serve_queue_limit", "maximum queued cells"),
+            protocol_version: gauge("lad_serve_protocol_version", "wire protocol version"),
+            draining: gauge(
+                "lad_serve_draining",
+                "1 while the server drains for shutdown, else 0",
             ),
             cell_queue_wait_us: registry.histogram(
                 "lad_serve_cell_queue_wait_us",
@@ -572,7 +584,6 @@ fn read_frame(shared: &Shared, reader: &mut impl BufRead, max_bytes: usize) -> O
     let mut line = Vec::new();
     let reap = || {
         shared.metrics.reaped.inc();
-        lad_obs::global_tracer().emit("reap", "slow or oversized peer dropped mid-frame");
         None
     };
     loop {
@@ -640,7 +651,6 @@ fn handle_frame(shared: &Shared, line: &str) -> Result<Reply, ServeError> {
         "status" => verb_status(shared, &frame),
         "result" => verb_result(shared, &frame),
         "cancel" => verb_cancel(shared, &frame),
-        "stats" => verb_stats(shared),
         "health" => verb_health(shared),
         "metrics" => verb_metrics(shared),
         "shutdown" => verb_shutdown(shared),
@@ -1066,86 +1076,11 @@ fn verb_cancel(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> 
     ]))
 }
 
-fn verb_stats(shared: &Shared) -> Result<Reply, ServeError> {
-    let (queue_depth, active_jobs) = {
-        let state = shared.lock();
-        let active = state
-            .jobs
-            .values()
-            .filter(|job| {
-                job.cells
-                    .iter()
-                    .any(|c| matches!(c.state, CellState::Queued | CellState::Running))
-            })
-            .count();
-        (state.queue.len(), active)
-    };
-    let stat = |counter: &Counter| JsonValue::from(counter.value());
-    reply(JsonValue::object([
-        ("ok", JsonValue::from(true)),
-        ("protocol", JsonValue::from(u64::from(PROTOCOL_VERSION))),
-        ("workers", JsonValue::from(shared.config.workers as u64)),
-        (
-            "queue",
-            JsonValue::object([
-                ("depth", JsonValue::from(queue_depth as u64)),
-                ("limit", JsonValue::from(shared.config.queue_limit as u64)),
-            ]),
-        ),
-        (
-            "jobs",
-            JsonValue::object([
-                ("submitted", stat(&shared.metrics.jobs_submitted)),
-                ("active", JsonValue::from(active_jobs as u64)),
-            ]),
-        ),
-        (
-            "cells",
-            JsonValue::object([
-                ("executed", stat(&shared.metrics.cells_executed)),
-                ("resumed", stat(&shared.metrics.cells_resumed)),
-                ("failed", stat(&shared.metrics.cells_failed)),
-                (
-                    "checkpoints_written",
-                    stat(&shared.metrics.checkpoints_written),
-                ),
-                (
-                    "checkpoints_quarantined",
-                    stat(&shared.metrics.checkpoints_quarantined),
-                ),
-            ]),
-        ),
-        (
-            "cache",
-            JsonValue::object([
-                ("entries", JsonValue::from(shared.cache.len() as u64)),
-                ("hits", JsonValue::from(shared.cache.hits())),
-                ("misses", JsonValue::from(shared.cache.misses())),
-                ("mode", JsonValue::from(shared.cache.mode())),
-                ("quarantined", JsonValue::from(shared.cache.quarantined())),
-                ("spill_errors", JsonValue::from(shared.cache.spill_errors())),
-            ]),
-        ),
-        (
-            "connections",
-            JsonValue::object([
-                ("accepted", stat(&shared.metrics.connections)),
-                ("frames", stat(&shared.metrics.frames_in)),
-                ("errors", stat(&shared.metrics.errors)),
-                ("reaped", stat(&shared.metrics.reaped)),
-            ]),
-        ),
-        (
-            "shutting_down",
-            JsonValue::from(shared.shutting_down.load(Ordering::SeqCst)),
-        ),
-    ]))
-}
-
 /// The `health` verb: a cheap liveness + degradation probe.  `"status"`
 /// is `"ok"` while every subsystem operates durably and `"degraded"` once
 /// persistent disk errors have flipped the result cache to memory-only
-/// operation (the server keeps answering either way).
+/// operation (the server keeps answering either way).  The counts behind
+/// a degradation are `metrics` samples.
 fn verb_health(shared: &Shared) -> Result<Reply, ServeError> {
     let status = if shared.cache.is_degraded() {
         "degraded"
@@ -1156,21 +1091,6 @@ fn verb_health(shared: &Shared) -> Result<Reply, ServeError> {
         ("ok", JsonValue::from(true)),
         ("status", JsonValue::from(status)),
         ("cache_mode", JsonValue::from(shared.cache.mode())),
-        (
-            "quarantined",
-            JsonValue::object([
-                ("cache", JsonValue::from(shared.cache.quarantined())),
-                (
-                    "checkpoints",
-                    JsonValue::from(shared.metrics.checkpoints_quarantined.value()),
-                ),
-            ]),
-        ),
-        ("spill_errors", JsonValue::from(shared.cache.spill_errors())),
-        (
-            "shutting_down",
-            JsonValue::from(shared.shutting_down.load(Ordering::SeqCst)),
-        ),
     ]))
 }
 
@@ -1183,7 +1103,8 @@ fn verb_health(shared: &Shared) -> Result<Reply, ServeError> {
 /// [`lad_obs::global`] registry the simulation engine and worker pools
 /// record into, and per-(site, kind) counts synthesized from the fault
 /// injector's fired-fault log.  Scrape-time gauges (queue depth, active
-/// jobs, cache entries and mode) are refreshed before the snapshot.
+/// jobs, cache entries and mode, configured workers and queue limit,
+/// protocol version, draining) are refreshed before the snapshot.
 fn verb_metrics(shared: &Shared) -> Result<Reply, ServeError> {
     let (queue_depth, active_jobs) = {
         let state = shared.lock();
@@ -1198,16 +1119,24 @@ fn verb_metrics(shared: &Shared) -> Result<Reply, ServeError> {
             .count();
         (state.queue.len(), active)
     };
-    shared.metrics.queue_depth.set(queue_depth as i64);
-    shared.metrics.jobs_active.set(active_jobs as i64);
-    shared.metrics.cache_entries.set(shared.cache.len() as i64);
-    shared.metrics.cache_mode.set(match shared.cache.mode() {
+    let metrics = &shared.metrics;
+    let level = |value: usize| i64::try_from(value).unwrap_or(i64::MAX);
+    metrics.queue_depth.set(level(queue_depth));
+    metrics.jobs_active.set(level(active_jobs));
+    metrics.cache_entries.set(level(shared.cache.len()));
+    metrics.cache_mode.set(match shared.cache.mode() {
         "durable" => 0,
         "memory" => 1,
         _ => 2,
     });
+    metrics.workers.set(level(shared.config.workers));
+    metrics.queue_limit.set(level(shared.config.queue_limit));
+    metrics.protocol_version.set(i64::from(PROTOCOL_VERSION));
+    metrics
+        .draining
+        .set(i64::from(shared.shutting_down.load(Ordering::SeqCst)));
 
-    let mut samples = shared.metrics.registry.snapshot();
+    let mut samples = metrics.registry.snapshot();
     samples.extend(lad_obs::global().snapshot());
     let mut fired_counts: BTreeMap<(String, String), u64> = BTreeMap::new();
     for fault in shared.config.fault.fired() {
@@ -1462,9 +1391,6 @@ impl RunObserver for CellObserver<'_> {
 }
 
 fn run_cell(shared: &Shared, item: &WorkItem) -> Result<CellOutcome, String> {
-    // The span's open/close events land in this worker's ring buffer, so
-    // a post-mortem drain answers "what was this worker doing".
-    let _span = lad_obs::global_tracer().span("execute_cell", &item.key.to_string());
     // A seeded plan can panic a worker cell here to prove the
     // catch_unwind isolation holds (the panic fails this cell and nothing
     // else).

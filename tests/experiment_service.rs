@@ -19,7 +19,7 @@ use locality_replication::common::json::JsonValue;
 use locality_replication::replication::policy::SchemeRegistry;
 use locality_replication::replication::scheme::SchemeId;
 use locality_replication::serve::client::{Client, ClientError};
-use locality_replication::serve::protocol::{JobSpec, SystemPreset, TraceSpec};
+use locality_replication::serve::protocol::{JobSpec, SystemPreset, TraceSpec, PROTOCOL_VERSION};
 use locality_replication::serve::server::{Server, ServerConfig};
 use locality_replication::sim::checkpoint::EngineCheckpoint;
 use locality_replication::sim::engine::{RunOutcome, Simulator};
@@ -76,12 +76,20 @@ fn job_id(receipt: &JsonValue) -> String {
         .to_string()
 }
 
-fn counter(frame: &JsonValue, group: &str, field: &str) -> u64 {
+/// The value of the unlabelled sample `name` in a `metrics` frame.
+fn metric(frame: &JsonValue, name: &str) -> u64 {
     frame
-        .get(group)
-        .and_then(|g| g.get(field))
+        .get("metrics")
+        .and_then(|m| m.get("metrics"))
+        .and_then(JsonValue::as_array)
+        .and_then(|samples| {
+            samples
+                .iter()
+                .find(|s| s.get("name").and_then(JsonValue::as_str) == Some(name))
+        })
+        .and_then(|s| s.get("value"))
         .and_then(JsonValue::as_u64)
-        .unwrap_or_else(|| panic!("stats frame is missing {group}.{field}"))
+        .unwrap_or_else(|| panic!("metrics frame is missing {name}"))
 }
 
 /// The report a `result` frame carries for one (benchmark, scheme) cell,
@@ -164,7 +172,7 @@ fn service_matches_direct_replay_and_caches_resubmissions() {
             );
         }
     }
-    let executed_once = counter(&client.stats().unwrap(), "cells", "executed");
+    let executed_once = metric(&client.metrics().unwrap(), "lad_serve_cells_executed_total");
     assert_eq!(executed_once, 4, "four cells simulated");
 
     // Resubmitting both jobs is answered from the cache: every cell comes
@@ -186,14 +194,14 @@ fn service_matches_direct_replay_and_caches_resubmissions() {
             );
         }
     }
-    let stats = client.stats().unwrap();
+    let metrics = client.metrics().unwrap();
     assert_eq!(
-        counter(&stats, "cells", "executed"),
+        metric(&metrics, "lad_serve_cells_executed_total"),
         executed_once,
         "cached resubmission must not re-simulate"
     );
-    assert!(counter(&stats, "cache", "hits") >= 4);
-    assert_eq!(counter(&stats, "cache", "entries"), 4);
+    assert!(metric(&metrics, "lad_serve_cache_hits_total") >= 4);
+    assert_eq!(metric(&metrics, "lad_serve_cache_entries"), 4);
 
     // The spill directory survives a restart: a brand-new server over the
     // same data dir answers from cache without executing anything.
@@ -203,9 +211,9 @@ fn service_matches_direct_replay_and_caches_resubmissions() {
     let mut client = connect(&server);
     let receipt = client.submit(&jobs[0]).unwrap();
     assert_eq!(receipt.get("cached").and_then(JsonValue::as_u64), Some(2));
-    let stats = client.stats().unwrap();
-    assert_eq!(counter(&stats, "cells", "executed"), 0);
-    assert_eq!(counter(&stats, "cache", "entries"), 4);
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metric(&metrics, "lad_serve_cells_executed_total"), 0);
+    assert_eq!(metric(&metrics, "lad_serve_cache_entries"), 4);
 
     // An unknown stored digest is a typed 404.
     let missing = client.submit(&JobSpec {
@@ -259,13 +267,13 @@ fn concurrent_identical_submissions_execute_once() {
         "all four submissions must see the same report"
     );
     let mut client = connect(&server);
-    let stats = client.stats().unwrap();
+    let metrics = client.metrics().unwrap();
     assert_eq!(
-        counter(&stats, "cells", "executed"),
+        metric(&metrics, "lad_serve_cells_executed_total"),
         1,
         "four identical parallel submissions must simulate exactly once"
     );
-    assert_eq!(counter(&stats, "jobs", "submitted"), 4);
+    assert_eq!(metric(&metrics, "lad_serve_jobs_submitted_total"), 4);
     client.shutdown().unwrap();
     server.join();
 }
@@ -302,10 +310,12 @@ fn malformed_frames_get_typed_errors_and_never_kill_the_server() {
     let server = Server::spawn(config(&dir)).unwrap();
     let stream = TcpStream::connect(server.addr()).unwrap();
 
-    let cases: [(&str, u64, &str); 10] = [
+    let cases: [(&str, u64, &str); 11] = [
         ("this is not json", 400, "malformed_frame"),
         ("{\"no\": \"verb\"}", 400, "malformed_frame"),
         ("{\"verb\": \"zap\"}", 400, "unknown_verb"),
+        // Protocol v2 folded the v1 `stats` verb into `metrics`.
+        ("{\"verb\": \"stats\"}", 400, "unknown_verb"),
         ("{\"verb\": \"status\"}", 400, "bad_request"),
         (
             "{\"verb\": \"status\", \"job\": \"job-99\"}",
@@ -358,9 +368,9 @@ fn malformed_frames_get_typed_errors_and_never_kill_the_server() {
     }
 
     // The same connection still serves well-formed frames afterwards.
-    let stats = raw_round_trip(&stream, "{\"verb\": \"stats\"}");
-    assert_eq!(stats.get("ok").and_then(JsonValue::as_bool), Some(true));
-    assert!(counter(&stats, "connections", "errors") >= cases.len() as u64);
+    let metrics = raw_round_trip(&stream, "{\"verb\": \"metrics\"}");
+    assert_eq!(metrics.get("ok").and_then(JsonValue::as_bool), Some(true));
+    assert!(metric(&metrics, "lad_serve_errors_total") >= cases.len() as u64);
 
     let mut client = connect(&server);
     client.shutdown().unwrap();
@@ -500,13 +510,13 @@ fn killed_server_resumes_from_checkpoint_not_access_zero() {
     let mut client = connect(&server_b);
     let job = job_id(&client.submit(&spec).unwrap());
     let result = client.wait(&job, Duration::from_millis(10)).unwrap();
-    let stats = client.stats().unwrap();
+    let metrics = client.metrics().unwrap();
     assert_eq!(
-        counter(&stats, "cells", "resumed"),
+        metric(&metrics, "lad_serve_cells_resumed_total"),
         1,
         "the restarted server must resume the checkpoint, not start over"
     );
-    assert_eq!(counter(&stats, "cells", "executed"), 1);
+    assert_eq!(metric(&metrics, "lad_serve_cells_executed_total"), 1);
 
     let registry = SchemeRegistry::builtin();
     let entry = registry.get(SchemeId::Rt(3)).unwrap();
@@ -632,17 +642,9 @@ fn metrics_verb_exposes_prometheus_and_json() {
         .get("metrics")
         .and_then(JsonValue::as_array)
         .expect("native view has a metrics array");
-    let counter_value = |name: &str| {
-        entries
-            .iter()
-            .find(|m| m.get("name").and_then(JsonValue::as_str) == Some(name))
-            .and_then(|m| m.get("value"))
-            .and_then(JsonValue::as_u64)
-            .unwrap_or_else(|| panic!("missing counter {name}"))
-    };
-    assert_eq!(counter_value("lad_serve_cells_executed_total"), 2);
-    assert!(counter_value("lad_serve_jobs_submitted_total") >= 1);
-    assert!(counter_value("lad_serve_frames_in_total") >= 3);
+    assert_eq!(metric(&frame, "lad_serve_cells_executed_total"), 2);
+    assert!(metric(&frame, "lad_serve_jobs_submitted_total") >= 1);
+    assert!(metric(&frame, "lad_serve_frames_in_total") >= 3);
     let submit_latency = entries
         .iter()
         .find(|m| {
@@ -660,10 +662,18 @@ fn metrics_verb_exposes_prometheus_and_json() {
             .is_some_and(|count| count >= 1),
         "submit latency histogram never recorded"
     );
-    // Scrape-time gauges: the cache holds both spilled cells and the mode
-    // gauge reports durable (0) over a healthy data directory.
-    assert_eq!(counter_value("lad_serve_cache_entries"), 2);
-    assert_eq!(counter_value("lad_serve_cache_mode"), 0);
+    // Scrape-time gauges: the cache holds both spilled cells, the mode
+    // gauge reports durable (0) over a healthy data directory, and the
+    // configuration gauges carry the test config and protocol version.
+    assert_eq!(metric(&frame, "lad_serve_cache_entries"), 2);
+    assert_eq!(metric(&frame, "lad_serve_cache_mode"), 0);
+    assert_eq!(metric(&frame, "lad_serve_workers"), 2);
+    assert_eq!(metric(&frame, "lad_serve_queue_limit"), 256);
+    assert_eq!(
+        metric(&frame, "lad_serve_protocol_version"),
+        u64::from(PROTOCOL_VERSION)
+    );
+    assert_eq!(metric(&frame, "lad_serve_draining"), 0);
 
     client.shutdown().unwrap();
     server.join();

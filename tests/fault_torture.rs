@@ -93,12 +93,20 @@ fn job_id(receipt: &JsonValue) -> String {
         .to_string()
 }
 
-fn counter(frame: &JsonValue, group: &str, field: &str) -> u64 {
+/// The value of the unlabelled sample `name` in a `metrics` frame.
+fn metric(frame: &JsonValue, name: &str) -> u64 {
     frame
-        .get(group)
-        .and_then(|g| g.get(field))
+        .get("metrics")
+        .and_then(|m| m.get("metrics"))
+        .and_then(JsonValue::as_array)
+        .and_then(|samples| {
+            samples
+                .iter()
+                .find(|s| s.get("name").and_then(JsonValue::as_str) == Some(name))
+        })
+        .and_then(|s| s.get("value"))
         .and_then(JsonValue::as_u64)
-        .unwrap_or_else(|| panic!("stats frame is missing {group}.{field}"))
+        .unwrap_or_else(|| panic!("metrics frame is missing {name}"))
 }
 
 /// The report a `result` frame carries for one (benchmark, scheme) cell.
@@ -232,7 +240,7 @@ fn assert_matches_baseline(result: &JsonValue, baseline: &[(String, String)]) {
 
 /// Tentpole invariant: replaying the same workload under N seeded random
 /// fault plans always converges to byte-identical reports, with the
-/// server answering `health` and `stats` afterwards — no panic, no hang,
+/// server answering `health` and `metrics` afterwards — no panic, no hang,
 /// no wrong result.
 #[test]
 fn seeded_random_fault_plans_never_corrupt_results() {
@@ -249,7 +257,7 @@ fn seeded_random_fault_plans_never_corrupt_results() {
         let result = submit_until_success(&mut client, &torture_spec());
         assert_matches_baseline(&result, &baseline);
 
-        // The server is still coherent: health and stats answer, and the
+        // The server is still coherent: health and metrics answer, and the
         // cache mode is one of the defined states (degraded is fine — an
         // injected ENOSPC may have fired).
         let health = client.health().unwrap_or_else(|err| {
@@ -260,8 +268,8 @@ fn seeded_random_fault_plans_never_corrupt_results() {
             status == "ok" || status == "degraded",
             "undefined health status {status:?} under plan {plan}"
         );
-        let stats = client.stats().unwrap();
-        assert!(counter(&stats, "cells", "executed") >= 1);
+        let metrics = client.metrics().unwrap();
+        assert!(metric(&metrics, "lad_serve_cells_executed_total") >= 1);
         // Dropping the handle drains the server; join() would be forever
         // if a fault wedged the drain, so bound it ourselves.
         let _ = client.shutdown();
@@ -387,25 +395,27 @@ fn torn_checkpoint_at_every_kill_point_recovers_byte_identically() {
             expected,
             "mutation {index} produced a wrong report"
         );
-        let stats = client.stats().unwrap();
-        let health = client.health().unwrap();
-        assert_eq!(counter(&stats, "cells", "executed"), 1);
+        let metrics = client.metrics().unwrap();
+        assert_eq!(metric(&metrics, "lad_serve_cells_executed_total"), 1);
         if valid {
             assert_eq!(
-                counter(&stats, "cells", "resumed"),
+                metric(&metrics, "lad_serve_cells_resumed_total"),
                 1,
                 "mutation {index}: a digest-valid checkpoint must resume"
             );
-            assert_eq!(counter(&health, "quarantined", "checkpoints"), 0);
+            assert_eq!(
+                metric(&metrics, "lad_serve_checkpoints_quarantined_total"),
+                0
+            );
         } else {
             quarantined_count += 1;
             assert_eq!(
-                counter(&stats, "cells", "resumed"),
+                metric(&metrics, "lad_serve_cells_resumed_total"),
                 0,
                 "mutation {index}: a corrupt checkpoint must never resume"
             );
             assert_eq!(
-                counter(&health, "quarantined", "checkpoints"),
+                metric(&metrics, "lad_serve_checkpoints_quarantined_total"),
                 1,
                 "mutation {index}: the corrupt checkpoint must be quarantined"
             );
@@ -463,9 +473,9 @@ fn flipped_byte_in_spilled_cache_entry_is_quarantined_and_reexecuted() {
     // survives, and a resubmission re-executes exactly the corrupted cell.
     let server = Server::spawn(cfg).unwrap();
     let mut client = connect(&server);
-    let stats = client.stats().unwrap();
-    assert_eq!(counter(&stats, "cache", "quarantined"), 1);
-    assert_eq!(counter(&stats, "cache", "entries"), 1);
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metric(&metrics, "lad_serve_cache_quarantined_total"), 1);
+    assert_eq!(metric(&metrics, "lad_serve_cache_entries"), 1);
     let mut quarantine = victim.as_os_str().to_os_string();
     quarantine.push(".quarantine");
     assert!(PathBuf::from(quarantine).is_file());
@@ -480,7 +490,10 @@ fn flipped_byte_in_spilled_cache_entry_is_quarantined_and_reexecuted() {
         .wait(&job_id(&receipt), Duration::from_millis(5))
         .unwrap();
     assert_matches_baseline(&result, &baseline);
-    assert_eq!(counter(&client.stats().unwrap(), "cells", "executed"), 1);
+    assert_eq!(
+        metric(&client.metrics().unwrap(), "lad_serve_cells_executed_total"),
+        1
+    );
     client.shutdown().unwrap();
     server.join();
 }
@@ -535,7 +548,7 @@ fn injected_cell_panic_fails_typed_then_resubmission_succeeds() {
         }
         other => panic!("expected job_failed from the panicking cell, got {other:?}"),
     }
-    assert!(counter(&client.stats().unwrap(), "cells", "failed") >= 1);
+    assert!(metric(&client.metrics().unwrap(), "lad_serve_cells_failed_total") >= 1);
 
     // The worker pool survived the panic; the fault is exhausted, so a
     // fresh submission executes cleanly.
@@ -547,7 +560,8 @@ fn injected_cell_panic_fails_typed_then_resubmission_succeeds() {
 
 /// ENOSPC on a cache spill flips the cache into memory-only degraded
 /// mode: results stay correct and cacheable in memory, nothing more is
-/// written to disk, and `health` reports the degradation.
+/// written to disk, `health` reports the degradation and `metrics` the
+/// spill error behind it.
 #[test]
 fn enospc_spill_degrades_to_memory_only_and_health_reports_it() {
     let dir = TempDir::new("enospc");
@@ -569,12 +583,20 @@ fn enospc_spill_degrades_to_memory_only_and_health_reports_it() {
         health.get("cache_mode").and_then(JsonValue::as_str),
         Some("degraded")
     );
+    // `health` carries exactly these keys; the counts behind the
+    // degradation are `metrics` samples.
+    let keys: Vec<&str> = health
+        .as_object()
+        .unwrap()
+        .iter()
+        .map(|(key, _)| key.as_str())
+        .collect();
+    assert_eq!(keys, ["ok", "status", "cache_mode"]);
     assert!(
-        health
-            .get("spill_errors")
-            .and_then(JsonValue::as_u64)
-            .unwrap()
-            >= 1
+        metric(
+            &client.metrics().unwrap(),
+            "lad_serve_cache_spill_errors_total"
+        ) >= 1
     );
 
     // Degraded ≠ broken: the memory cache still answers resubmissions,
@@ -624,8 +646,7 @@ fn slow_loris_and_oversized_frames_are_reaped() {
     let mut client = connect(&server);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let stats = client.stats().unwrap();
-        if counter(&stats, "connections", "reaped") >= 2 {
+        if metric(&client.metrics().unwrap(), "lad_serve_reaped_total") >= 2 {
             break;
         }
         assert!(
