@@ -22,6 +22,7 @@ use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use lad_common::cli::{no_leftovers, parse_number, take_flag};
 use lad_common::config::SystemConfig;
 use lad_replication::scheme::SchemeId;
 use lad_sim::experiment::ExperimentRunner;
@@ -71,32 +72,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls the value of `--flag value` out of `args`, removing both tokens.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(index) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if index + 1 >= args.len() {
-        return Err(format!("{flag} requires a value"));
-    }
-    let value = args.remove(index + 1);
-    args.remove(index);
-    Ok(Some(value))
-}
-
-fn parse_number<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{what} must be a number, got {value:?}"))
-}
-
-fn no_leftovers(args: &[String]) -> Result<(), String> {
-    match args.first() {
-        Some(extra) => Err(format!("unexpected argument {extra:?}\n\n{USAGE}")),
-        None => Ok(()),
-    }
-}
-
 fn suite_by_name(name: &str) -> Result<BenchmarkSuite, String> {
     match name {
         "quick" => Ok(BenchmarkSuite::quick()),
@@ -124,7 +99,7 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     if let Some(seed) = take_flag(&mut args, "--seed")? {
         suite = suite.with_seed(parse_number(&seed, "--seed")?);
     }
-    no_leftovers(&args)?;
+    no_leftovers(&args, USAGE)?;
 
     let dir = PathBuf::from(out);
     let recorded = record_suite(&suite, cores, &dir).map_err(|e| e.to_string())?;

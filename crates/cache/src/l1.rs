@@ -3,10 +3,9 @@
 //! The L1 caches of the paper's target are small (16 KB I / 32 KB D, 4-way,
 //! 1-cycle) write-back caches kept coherent by the directory in the LLC.  The
 //! model is a [`SetAssocCache`] with geometry taken from a
-//! [`CacheConfig`], plus hit/miss accounting.
+//! [`CacheConfig`].
 
 use lad_common::config::CacheConfig;
-use lad_common::stats::Counter;
 use lad_common::types::CacheLine;
 
 use crate::replacement::PlainLru;
@@ -18,9 +17,6 @@ use crate::set_assoc::SetAssocCache;
 pub struct L1Cache<V> {
     array: SetAssocCache<V>,
     access_latency: u32,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
 }
 
 impl<V> L1Cache<V> {
@@ -33,9 +29,6 @@ impl<V> L1Cache<V> {
         L1Cache {
             array: SetAssocCache::new(config.num_sets(line_bytes), config.associativity),
             access_latency: config.access_latency(),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            evictions: Counter::new(),
         }
     }
 
@@ -44,26 +37,19 @@ impl<V> L1Cache<V> {
         self.access_latency
     }
 
-    /// Looks up `line`, recording a hit or a miss, and returns a mutable
-    /// reference to its state on a hit.
+    /// Looks up `line`, promoting it to most recently used, and returns a
+    /// mutable reference to its state on a hit.
     pub fn access(&mut self, line: CacheLine) -> Option<&mut V> {
-        // Split the borrow: probe first, then touch.
-        if self.array.contains(line) {
-            self.hits.increment();
-            self.array.get_mut(line)
-        } else {
-            self.misses.increment();
-            None
-        }
+        self.array.get_mut(line)
     }
 
-    /// Probes for `line` without recording statistics or touching LRU state
-    /// (used by asynchronous coherence requests: invalidations, downgrades).
+    /// Probes for `line` without touching LRU state (used by asynchronous
+    /// coherence requests: invalidations, downgrades).
     pub fn probe(&self, line: CacheLine) -> Option<&V> {
         self.array.peek(line)
     }
 
-    /// Probes mutably without statistics / LRU update.
+    /// Probes mutably without an LRU update.
     pub fn probe_mut(&mut self, line: CacheLine) -> Option<&mut V> {
         self.array.peek_mut(line)
     }
@@ -77,11 +63,7 @@ impl<V> L1Cache<V> {
     /// its state) is returned so the protocol can write it back / notify the
     /// directory.
     pub fn fill(&mut self, line: CacheLine, state: V) -> Option<(CacheLine, V)> {
-        let evicted = self.array.insert(line, state, &PlainLru);
-        if evicted.is_some() {
-            self.evictions.increment();
-        }
-        evicted
+        self.array.insert(line, state, &PlainLru)
     }
 
     /// Invalidates `line`, returning its state if it was resident.
@@ -89,27 +71,10 @@ impl<V> L1Cache<V> {
         self.array.remove(line)
     }
 
-    /// Empties the cache and zeroes its hit, miss and eviction counters,
-    /// leaving it indistinguishable from a newly built one.  Only resident
-    /// lines are written.
+    /// Empties the cache, leaving it indistinguishable from a newly built
+    /// one.  Only resident lines are written.
     pub fn clear(&mut self) {
         self.array.clear();
-        self.set_counters(Counter::new(), Counter::new(), Counter::new());
-    }
-
-    /// Number of recorded hits.
-    pub fn hits(&self) -> u64 {
-        self.hits.value()
-    }
-
-    /// Number of recorded misses.
-    pub fn misses(&self) -> u64 {
-        self.misses.value()
-    }
-
-    /// Number of capacity/conflict evictions performed by fills.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.value()
     }
 
     /// Number of resident lines.
@@ -138,12 +103,6 @@ impl<V> L1Cache<V> {
 
     pub(crate) fn array_mut(&mut self) -> &mut SetAssocCache<V> {
         &mut self.array
-    }
-
-    pub(crate) fn set_counters(&mut self, hits: Counter, misses: Counter, evictions: Counter) {
-        self.hits = hits;
-        self.misses = misses;
-        self.evictions = evictions;
     }
 }
 
@@ -174,36 +133,38 @@ mod tests {
     }
 
     #[test]
-    fn access_records_hits_and_misses() {
+    fn access_promotes_to_mru() {
         let mut l1 = L1Cache::new(&config(), 64);
-        assert!(l1.access(line(1)).is_none());
-        l1.fill(line(1), 7u8);
-        assert_eq!(l1.access(line(1)), Some(&mut 7));
-        assert_eq!(l1.hits(), 1);
-        assert_eq!(l1.misses(), 1);
+        assert!(l1.access(line(0)).is_none());
+        // Lines 0, 4, 8 all map to set 0 (4 sets, 2 ways).
+        l1.fill(line(0), 0u8);
+        l1.fill(line(4), 4u8);
+        assert_eq!(l1.access(line(0)), Some(&mut 0));
+        // The hit made line 0 MRU, so the next fill evicts line 4.
+        assert_eq!(l1.fill(line(8), 8), Some((line(4), 4)));
     }
 
     #[test]
-    fn probe_does_not_count() {
+    fn probe_does_not_promote() {
         let mut l1 = L1Cache::new(&config(), 64);
-        l1.fill(line(1), 1u8);
-        assert!(l1.probe(line(1)).is_some());
+        l1.fill(line(0), 0u8);
+        l1.fill(line(4), 4u8);
+        assert_eq!(l1.probe(line(0)), Some(&0));
         assert!(l1.probe(line(2)).is_none());
-        assert_eq!(l1.hits(), 0);
-        assert_eq!(l1.misses(), 0);
-        *l1.probe_mut(line(1)).unwrap() = 9;
-        assert_eq!(l1.probe(line(1)), Some(&9));
+        *l1.probe_mut(line(0)).unwrap() = 9;
+        assert_eq!(l1.probe(line(0)), Some(&9));
+        // Neither probe touched recency: line 0 is still the LRU victim.
+        assert_eq!(l1.fill(line(8), 8), Some((line(0), 9)));
     }
 
     #[test]
-    fn fill_evicts_lru_and_counts() {
+    fn fill_evicts_lru() {
         let mut l1 = L1Cache::new(&config(), 64);
         // Lines 0, 4, 8 all map to set 0 (4 sets, 2 ways).
         assert!(l1.fill(line(0), 0u8).is_none());
         assert!(l1.fill(line(4), 4u8).is_none());
         let victim = l1.fill(line(8), 8u8).expect("eviction");
         assert_eq!(victim, (line(0), 0u8));
-        assert_eq!(l1.evictions(), 1);
         assert!(l1.contains(line(4)));
         assert!(l1.contains(line(8)));
     }

@@ -5,8 +5,7 @@
 //! lines (lines whose directory entry lives here) and, under the
 //! replication schemes, *replica* lines for the local core.  Both kinds of
 //! entries carry metadata supplied by the protocol layer as the generic type
-//! `V`; this module only manages geometry, recency, victim selection and
-//! hit/miss accounting.
+//! `V`; this module only manages geometry, recency and victim selection.
 //!
 //! Victim selection uses the paper's sharer-aware modified-LRU policy by
 //! default ([`SharerAwareLru`]) but can be switched to plain LRU to
@@ -23,7 +22,6 @@
 //! module and the snapshot code: every method takes and returns `V`/`&V`.
 
 use lad_common::config::CacheConfig;
-use lad_common::stats::Counter;
 use lad_common::types::CacheLine;
 
 use crate::replacement::{Boxed, EvictionPriority, PlainLru, SharerAwareLru, SharerCount};
@@ -50,9 +48,6 @@ pub struct LlcSlice<V> {
     policy: LlcReplacementPolicy,
     tag_latency: u32,
     data_latency: u32,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
 }
 
 impl<V: SharerCount> LlcSlice<V> {
@@ -77,9 +72,6 @@ impl<V: SharerCount> LlcSlice<V> {
             policy,
             tag_latency: config.tag_latency,
             data_latency: config.data_latency,
-            hits: Counter::new(),
-            misses: Counter::new(),
-            evictions: Counter::new(),
         }
     }
 
@@ -98,28 +90,19 @@ impl<V: SharerCount> LlcSlice<V> {
         self.policy
     }
 
-    /// Looks up `line`, recording a hit or miss; returns its entry on a hit.
+    /// Looks up `line`, promoting it to most recently used; returns its
+    /// entry on a hit.
     pub fn access(&mut self, line: CacheLine) -> Option<&mut V> {
-        // Single tag scan: get_mut both finds the way and promotes it.
-        match self.array.get_mut(line) {
-            Some(entry) => {
-                self.hits.increment();
-                Some(&mut **entry)
-            }
-            None => {
-                self.misses.increment();
-                None
-            }
-        }
+        self.array.get_mut(line).map(|entry| &mut **entry)
     }
 
-    /// Probes for `line` without statistics or LRU update (asynchronous
-    /// coherence requests).
+    /// Probes for `line` without an LRU update (asynchronous coherence
+    /// requests).
     pub fn probe(&self, line: CacheLine) -> Option<&V> {
         self.array.peek(line).map(|entry| &**entry)
     }
 
-    /// Probes mutably without statistics or LRU update.
+    /// Probes mutably without an LRU update.
     pub fn probe_mut(&mut self, line: CacheLine) -> Option<&mut V> {
         self.array.peek_mut(line).map(|entry| &mut **entry)
     }
@@ -157,27 +140,10 @@ impl<V: SharerCount> LlcSlice<V> {
         self.array.remove(line).map(|entry| *entry)
     }
 
-    /// Empties the slice and zeroes its hit, miss and eviction counters,
-    /// leaving it indistinguishable from a newly built one.  Only resident
-    /// ways are written.
+    /// Empties the slice, leaving it indistinguishable from a newly built
+    /// one.  Only resident ways are written.
     pub fn clear(&mut self) {
         self.array.clear();
-        self.set_counters(Counter::new(), Counter::new(), Counter::new());
-    }
-
-    /// Number of lookup hits.
-    pub fn hits(&self) -> u64 {
-        self.hits.value()
-    }
-
-    /// Number of lookup misses.
-    pub fn misses(&self) -> u64 {
-        self.misses.value()
-    }
-
-    /// Number of fills that evicted a victim.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.value()
     }
 
     /// Number of resident lines.
@@ -218,11 +184,9 @@ impl<V: SharerCount> LlcSlice<V> {
     where
         P: EvictionPriority<V> + ?Sized,
     {
-        let evicted = self.array.insert(line, Box::new(entry), &Boxed(policy));
-        if evicted.is_some() {
-            self.evictions.increment();
-        }
-        evicted.map(|(line, entry)| (line, *entry))
+        self.array
+            .insert(line, Box::new(entry), &Boxed(policy))
+            .map(|(line, entry)| (line, *entry))
     }
 
     pub(crate) fn array(&self) -> &SetAssocCache<Box<V>> {
@@ -231,12 +195,6 @@ impl<V: SharerCount> LlcSlice<V> {
 
     pub(crate) fn array_mut(&mut self) -> &mut SetAssocCache<Box<V>> {
         &mut self.array
-    }
-
-    pub(crate) fn set_counters(&mut self, hits: Counter, misses: Counter, evictions: Counter) {
-        self.hits = hits;
-        self.misses = misses;
-        self.evictions = evictions;
     }
 }
 
@@ -293,8 +251,6 @@ mod tests {
         slice.fill(line(0), entry(0, 1));
         assert!(slice.access(line(0)).is_some());
         assert!(slice.probe(line(0)).is_some());
-        assert_eq!(slice.hits(), 1);
-        assert_eq!(slice.misses(), 1);
         slice.probe_mut(line(0)).unwrap().tag = 9;
         assert_eq!(slice.probe(line(0)).unwrap().tag, 9);
     }
@@ -311,7 +267,6 @@ mod tests {
         slice.access(line(4));
         let (victim, _) = slice.fill(line(16), entry(0, 16)).expect("eviction");
         assert_eq!(victim, line(4));
-        assert_eq!(slice.evictions(), 1);
     }
 
     #[test]

@@ -1,18 +1,16 @@
 //! Plain-data snapshots of the cache models for checkpoint/resume.
 //!
 //! A [`CacheState`] captures one cache array — occupied slots with their
-//! tags, LRU stamps and entries, the global LRU clock, and the hit / miss /
-//! eviction counters — as ordinary vectors and integers, with no opinion on
-//! how it is serialized.  The JSON encoding lives with the simulator's
-//! checkpoint module so that this crate stays serialization-free.
+//! tags, LRU stamps and entries, and the global LRU clock — as ordinary
+//! vectors and integers, with no opinion on how it is serialized.  The JSON
+//! encoding lives with the simulator's checkpoint module so that this crate
+//! stays serialization-free.
 //!
 //! A state always carries plain `V` entries, whatever form the array
 //! stores them in (the LLC slice boxes its entries), so the checkpoint
 //! codec never sees how a cache lays out its memory.
 
 use std::borrow::Borrow;
-
-use lad_common::stats::Counter;
 
 use crate::l1::L1Cache;
 use crate::llc_slice::LlcSlice;
@@ -23,39 +21,25 @@ use crate::set_assoc::SetAssocCache;
 /// type `V`.
 ///
 /// Restoring a state into a cache built from the same configuration
-/// reproduces every future lookup, LRU promotion, victim choice and
-/// statistics value of the snapshotted cache.
+/// reproduces every future lookup, LRU promotion and victim choice of the
+/// snapshotted cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheState<V> {
     /// Occupied slots as `(slot, tag, lru_stamp, entry)`, in slot order.
     pub slots: Vec<(usize, u64, u64, V)>,
     /// The array's global LRU clock.
     pub clock: u64,
-    /// Lookup hits recorded so far.
-    pub hits: u64,
-    /// Lookup misses recorded so far.
-    pub misses: u64,
-    /// Evictions performed by fills so far.
-    pub evictions: u64,
 }
 
 /// Snapshots an array storing its entries as `S` (`V` itself or
 /// `Box<V>`).
-fn capture<S: Borrow<V>, V: Clone>(
-    array: &SetAssocCache<S>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-) -> CacheState<V> {
+fn capture<S: Borrow<V>, V: Clone>(array: &SetAssocCache<S>) -> CacheState<V> {
     CacheState {
         slots: array
             .slots()
             .map(|(slot, tag, stamp, value)| (slot, tag, stamp, value.borrow().clone()))
             .collect(),
         clock: array.clock(),
-        hits,
-        misses,
-        evictions,
     }
 }
 
@@ -78,7 +62,7 @@ fn check_fits<S, V>(array: &SetAssocCache<S>, state: &CacheState<V>) -> Result<(
 
 /// Restores `state` into an array storing its entries as `S` (`V` itself
 /// or `Box<V>`).
-fn replay<S, V>(array: &mut SetAssocCache<S>, state: &CacheState<V>) -> (Counter, Counter, Counter)
+fn replay<S, V>(array: &mut SetAssocCache<S>, state: &CacheState<V>)
 where
     S: From<V>,
     V: Clone,
@@ -88,17 +72,12 @@ where
         array.restore_slot(*slot, *tag, *stamp, S::from(value.clone()));
     }
     array.set_clock(state.clock);
-    (
-        Counter::from_value(state.hits),
-        Counter::from_value(state.misses),
-        Counter::from_value(state.evictions),
-    )
 }
 
 impl<V: Clone> L1Cache<V> {
     /// Snapshots the cache for checkpointing.
     pub fn state(&self) -> CacheState<V> {
-        capture(self.array(), self.hits(), self.misses(), self.evictions())
+        capture(self.array())
     }
 
     /// Checks that a snapshot fits this cache's geometry — the condition
@@ -118,15 +97,14 @@ impl<V: Clone> L1Cache<V> {
     /// Panics if a slot index falls outside this cache's geometry or the
     /// snapshot is internally inconsistent (duplicate slots, stale clock).
     pub fn restore_state(&mut self, state: &CacheState<V>) {
-        let counters = replay(self.array_mut(), state);
-        self.set_counters(counters.0, counters.1, counters.2);
+        replay(self.array_mut(), state);
     }
 }
 
 impl<V: SharerCount + Clone> LlcSlice<V> {
     /// Snapshots the slice for checkpointing.
     pub fn state(&self) -> CacheState<V> {
-        capture(self.array(), self.hits(), self.misses(), self.evictions())
+        capture(self.array())
     }
 
     /// Checks that a snapshot fits this slice's geometry — the condition
@@ -146,8 +124,7 @@ impl<V: SharerCount + Clone> LlcSlice<V> {
     /// Panics if a slot index falls outside this slice's geometry or the
     /// snapshot is internally inconsistent (duplicate slots, stale clock).
     pub fn restore_state(&mut self, state: &CacheState<V>) {
-        let counters = replay(self.array_mut(), state);
-        self.set_counters(counters.0, counters.1, counters.2);
+        replay(self.array_mut(), state);
     }
 }
 
@@ -172,7 +149,7 @@ mod tests {
     }
 
     #[test]
-    fn l1_state_roundtrip_preserves_behavior_and_counters() {
+    fn l1_state_roundtrip_preserves_behavior() {
         let mut l1: L1Cache<u8> = L1Cache::new(&config(), 64);
         for i in 0..6 {
             l1.fill(line(i), i as u8);
@@ -184,9 +161,6 @@ mod tests {
         let mut restored: L1Cache<u8> = L1Cache::new(&config(), 64);
         restored.restore_state(&state);
 
-        assert_eq!(restored.hits(), l1.hits());
-        assert_eq!(restored.misses(), l1.misses());
-        assert_eq!(restored.evictions(), l1.evictions());
         assert_eq!(restored.len(), l1.len());
         // Same future: the fill that overflows set 0 picks the same victim.
         assert_eq!(restored.fill(line(8), 8), l1.fill(line(8), 8));
@@ -227,19 +201,20 @@ mod tests {
     fn clear_returns_caches_to_their_built_state() {
         let mut l1: L1Cache<u8> = L1Cache::new(&config(), 64);
         let mut slice: LlcSlice<Entry> = LlcSlice::new(&config(), 64);
+        let mut evictions = (0, 0);
         for i in 0..9 {
-            l1.fill(line(i), i as u8);
-            slice.fill(line(i), Entry { sharers: 0 });
+            evictions.0 += usize::from(l1.fill(line(i), i as u8).is_some());
+            evictions.1 += usize::from(slice.fill(line(i), Entry { sharers: 0 }).is_some());
         }
         l1.access(line(8));
         l1.access(line(99));
         slice.access(line(8));
         slice.access(line(99));
-        assert!(l1.evictions() > 0 && slice.evictions() > 0);
+        assert!(evictions.0 > 0 && evictions.1 > 0, "{evictions:?}");
 
         l1.clear();
         slice.clear();
-        // Entries, stamps, clock and all three counters match a new cache.
+        // Entries, stamps and clock match a new cache.
         assert_eq!(l1.state(), L1Cache::new(&config(), 64).state());
         assert_eq!(slice.state(), LlcSlice::new(&config(), 64).state());
     }

@@ -3,7 +3,7 @@
 //! Every protocol invariant the checker knows about is a named member of
 //! [`Invariant`].  The same catalog backs all three enforcement layers:
 //!
-//! * the exhaustive model exploration ([`crate::explore`]) checks every
+//! * the exhaustive model exploration ([`crate::explore()`]) checks every
 //!   reachable state of the step relation against the catalog and emits a
 //!   minimal counterexample trace on violation;
 //! * the runtime hooks in the timing engine (`lad-sim`) check the live

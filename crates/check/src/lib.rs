@@ -4,14 +4,14 @@
 //! The crate is organized around one **invariant catalog** ([`catalog`])
 //! enforced through three layers:
 //!
-//! 1. **Static exploration** ([`model`], [`explore`]) — the protocol's
+//! 1. **Static exploration** ([`model`], [`explore`](mod@explore)) — the protocol's
 //!    transition function (MESI L1 states × home directory state × replica
 //!    state × ACKwise sharer lists × classifier counters, driven by the
 //!    real [`ReplicationPolicy`](lad_replication::policy::ReplicationPolicy)
 //!    objects) is expressed as a declarative step relation, and every
 //!    reachable state of a small configuration is checked by breadth-first
 //!    search.  Violations come with a shortest counterexample trace.
-//! 2. **Runtime checking** ([`view`]) — the same [`check_view`](view::check_view)
+//! 2. **Runtime checking** ([`view`]) — the same [`view::check_view`]
 //!    function runs over the live `lad-sim` engine's state under
 //!    `debug_assertions`, so trace replays enforce the identical catalog.
 //! 3. **Mutation harness** ([`mutation`]) — seeded protocol bugs the

@@ -8,8 +8,8 @@
 //!   memory operations and data-class labels used throughout the system.
 //! * [`config`] — the architectural configuration mirroring Table 1 of the
 //!   paper (64 cores, 256 KB LLC slices, ACKwise₄, 2-cycle mesh hops, ...).
-//! * [`stats`] — counters, histograms and summary statistics used by the
-//!   metric collection of the simulator and the experiment harness.
+//! * [`stats`] — histograms and summary statistics used by the metric
+//!   collection of the simulator and the experiment harness.
 //! * [`rng`] — a small deterministic random-number facade so that every
 //!   simulation and workload generator is reproducible from a seed.
 //! * [`collections`] — fixed-seed fast hash maps ([`collections::FastMap`])
@@ -26,6 +26,7 @@
 //!   used by the robustness torture suites; disarmed it costs one branch.
 //! * [`fs`] — crash-consistent durable writes ([`fs::atomic_write`]: temp
 //!   file + `fsync` + atomic rename + directory `fsync`).
+//! * [`cli`] — the argument-vector helpers of the command-line tools.
 //!
 //! # Example
 //!
@@ -46,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod collections;
 pub mod config;
 pub mod fault;

@@ -1,4 +1,4 @@
-//! Counters, histograms and summary statistics.
+//! Histograms and summary statistics.
 //!
 //! The experiment harness reports the same aggregates the paper does:
 //! per-component sums (energy breakdowns), normalized ratios, arithmetic
@@ -8,64 +8,16 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use lad_common::stats::Counter;
-/// let mut hits = Counter::default();
-/// hits.add(3);
-/// hits.increment();
-/// assert_eq!(hits.value(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter starting at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Rebuilds a counter from a checkpointed [`Counter::value`].
-    pub fn from_value(value: u64) -> Self {
-        Counter(value)
-    }
-
-    /// Adds `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one event.
-    pub fn increment(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current count.
-    pub fn value(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 /// A histogram over `u64` sample values with exact buckets.
 ///
-/// Used for run-length distributions (Figure 1) and queueing-delay
-/// diagnostics.
+/// Used for run-length distributions (Figure 1) and, through `lad-obs`,
+/// for the exact host-latency percentiles of the metrics registry.
 ///
 /// Values below [`Histogram::DENSE_LIMIT`] are counted in a flat array
-/// (recording is one bounds check and an increment — this sits on the
-/// network-latency hot path, one sample per message); the rare large
-/// values spill into a sparse tree map.  The split is invisible to the
-/// API: iteration, equality and `Debug` output are defined over the
-/// logical `(value, count)` contents.
+/// (recording is one bounds check and an increment); the rare large values
+/// spill into a sparse tree map.  The split is invisible to the API:
+/// iteration, equality and `Debug` output are defined over the logical
+/// `(value, count)` contents.
 #[derive(Clone, Default)]
 pub struct Histogram {
     dense: Vec<u64>,
@@ -251,17 +203,6 @@ pub fn normalized(value: f64, baseline: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        assert_eq!(c.value(), 0);
-        c.increment();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.to_string(), "10");
-        assert_eq!(Counter::from_value(c.value()), c);
-    }
 
     #[test]
     fn histogram_counts_and_ranges() {

@@ -25,11 +25,11 @@
 //! * [`policies`] — the per-scheme replication decision helpers
 //!   (Victim Replication's victim-cache insertion rule, ASR's probabilistic
 //!   shared-read-only replication).
-//! * [`policy`] — the pluggable [`ReplicationPolicy`](policy::ReplicationPolicy)
-//!   trait the timing engine drives its replication decisions through, the
-//!   built-in policies implementing the five schemes, and the
-//!   [`SchemeRegistry`](policy::SchemeRegistry) that lets out-of-crate
-//!   schemes join experiment sweeps under a typed [`SchemeId`].
+//! * [`policy`] — the pluggable [`ReplicationPolicy`] trait the timing
+//!   engine drives its replication decisions through, the built-in policies
+//!   implementing the five schemes, and the [`SchemeRegistry`] that lets
+//!   out-of-crate schemes join experiment sweeps under a typed
+//!   [`SchemeId`].
 //! * [`overhead`] — the storage-overhead model of Section 2.4, reproducing
 //!   the 13.5 KB / 96 KB per-slice classifier costs.
 //!

@@ -1,7 +1,6 @@
 //! Memory controllers with finite bandwidth and FIFO queueing.
 
 use lad_common::config::DramConfig;
-use lad_common::stats::Counter;
 use lad_common::types::{CoreId, Cycle};
 
 /// The timing outcome of one DRAM access.
@@ -26,8 +25,7 @@ pub struct DramController {
     /// rate.
     service_occupancy: u64,
     free_at: Cycle,
-    accesses: Counter,
-    busy_cycles: u64,
+    accesses: u64,
 }
 
 impl DramController {
@@ -46,8 +44,7 @@ impl DramController {
             access_latency: config.access_latency,
             service_occupancy: occupancy.max(1),
             free_at: Cycle::ZERO,
-            accesses: Counter::new(),
-            busy_cycles: 0,
+            accesses: 0,
         }
     }
 
@@ -58,8 +55,7 @@ impl DramController {
         // The controller is occupied for the transfer time of the line; the
         // fixed access latency overlaps subsequent requests (banked DRAM).
         self.free_at = start + self.service_occupancy;
-        self.busy_cycles += self.service_occupancy;
-        self.accesses.increment();
+        self.accesses += 1;
         let service_latency = Cycle::new(self.access_latency as u64 + self.service_occupancy);
         DramAccess {
             queue_delay,
@@ -70,12 +66,7 @@ impl DramController {
 
     /// Number of accesses served.
     pub fn accesses(&self) -> u64 {
-        self.accesses.value()
-    }
-
-    /// Total cycles of controller occupancy (for utilization diagnostics).
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
+        self.accesses
     }
 
     /// Cycle at which the controller next becomes free.
@@ -83,19 +74,11 @@ impl DramController {
         self.free_at
     }
 
-    /// Clears queue state and statistics.
-    pub fn reset(&mut self) {
-        self.free_at = Cycle::ZERO;
-        self.accesses = Counter::new();
-        self.busy_cycles = 0;
-    }
-
     /// Snapshots the controller's mutable state for checkpointing.
     pub fn state(&self) -> DramControllerState {
         DramControllerState {
             free_at: self.free_at,
-            accesses: self.accesses.value(),
-            busy_cycles: self.busy_cycles,
+            accesses: self.accesses,
         }
     }
 
@@ -103,8 +86,7 @@ impl DramController {
     /// configuration the controller was built with).
     pub fn restore_state(&mut self, state: &DramControllerState) {
         self.free_at = state.free_at;
-        self.accesses = Counter::from_value(state.accesses);
-        self.busy_cycles = state.busy_cycles;
+        self.accesses = state.accesses;
     }
 }
 
@@ -115,8 +97,6 @@ pub struct DramControllerState {
     pub free_at: Cycle,
     /// Accesses served so far.
     pub accesses: u64,
-    /// Total cycles of controller occupancy so far.
-    pub busy_cycles: u64,
 }
 
 /// The full off-chip memory system: one controller per configured channel,
@@ -180,13 +160,6 @@ impl DramSystem {
         self.controllers.iter().map(|c| c.accesses()).sum()
     }
 
-    /// Clears all queue state and statistics.
-    pub fn reset(&mut self) {
-        for c in &mut self.controllers {
-            c.reset();
-        }
-    }
-
     /// Snapshots every controller's mutable state, in controller order.
     pub fn state(&self) -> Vec<DramControllerState> {
         self.controllers.iter().map(DramController::state).collect()
@@ -238,7 +211,6 @@ mod tests {
         assert_eq!(a.queue_delay, Cycle::ZERO);
         assert_eq!(b.queue_delay, Cycle::new(13));
         assert!(b.completion > a.completion);
-        assert_eq!(ctrl.busy_cycles(), 26);
         assert_eq!(ctrl.free_at(), Cycle::new(26));
     }
 
@@ -248,16 +220,6 @@ mod tests {
         ctrl.access(Cycle::ZERO);
         let later = ctrl.access(Cycle::new(1000));
         assert_eq!(later.queue_delay, Cycle::ZERO);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut ctrl = DramController::new(&dram_config(), 64);
-        ctrl.access(Cycle::ZERO);
-        ctrl.reset();
-        assert_eq!(ctrl.accesses(), 0);
-        assert_eq!(ctrl.free_at(), Cycle::ZERO);
-        assert_eq!(ctrl.busy_cycles(), 0);
     }
 
     fn system() -> DramSystem {
@@ -298,8 +260,6 @@ mod tests {
         assert_eq!(a.queue_delay, Cycle::ZERO);
         assert!(b.queue_delay > Cycle::ZERO);
         assert_eq!(c.queue_delay, Cycle::ZERO);
-        sys.reset();
-        assert_eq!(sys.total_accesses(), 0);
     }
 
     #[test]
@@ -329,7 +289,6 @@ mod tests {
         sys.restore_state(&[DramControllerState {
             free_at: Cycle::ZERO,
             accesses: 0,
-            busy_cycles: 0,
         }]);
     }
 

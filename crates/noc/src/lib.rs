@@ -8,9 +8,10 @@
 //! a busy link waits for the link to drain.
 //!
 //! The model is transaction-level: [`Network::send`] computes the delivery
-//! latency of one message injected at a given cycle, updates the per-link
-//! occupancy used for contention, and records the event counts
-//! (router traversals and link-flit traversals) that drive the energy model.
+//! latency of one message injected at a given cycle, advances the busy
+//! horizon of every link it crosses (the only per-link state), and records
+//! the two event counts (router traversals and link-flit traversals) that
+//! drive the energy model.
 //!
 //! # Example
 //!
@@ -35,7 +36,7 @@ pub mod contention;
 pub mod message;
 pub mod topology;
 
-pub use contention::{LinkState, NetworkState, NetworkStats};
+pub use contention::{NetworkState, NetworkStats};
 pub use message::{Delivery, MessageKind};
 pub use topology::Mesh;
 
@@ -50,7 +51,8 @@ pub struct Network {
     hop_latency: u32,
     control_flits: usize,
     data_flits: usize,
-    links: Vec<LinkState>,
+    /// Cycle until which each link is busy serializing earlier messages.
+    links: Vec<Cycle>,
     stats: NetworkStats,
 }
 
@@ -69,7 +71,7 @@ impl Network {
             hop_latency: config.hop_latency,
             control_flits: config.control_message_flits(),
             data_flits: config.data_message_flits(line_bytes),
-            links: vec![LinkState::default(); num_links],
+            links: vec![Cycle::ZERO; num_links],
             stats: NetworkStats::default(),
         }
     }
@@ -111,62 +113,35 @@ impl Network {
             // head flit.
             let mut head_time = now;
             for link in route {
-                let link_state = &mut self.links[link];
-                let start = head_time.max(link_state.busy_until);
+                let busy_until = &mut self.links[link];
+                let start = head_time.max(*busy_until);
                 let finish = start + self.hop_latency as u64 + (flits - 1) as u64;
-                link_state.busy_until = finish;
-                link_state.flits += flits as u64;
+                *busy_until = finish;
                 head_time = start + self.hop_latency as u64;
                 arrival = finish;
             }
         }
 
-        let latency = arrival.since(now);
-        self.stats.record(kind, hops, flits, latency);
+        self.stats.record(hops, flits);
         Delivery {
             arrival,
-            latency,
+            latency: arrival.since(now),
             hops,
             flits,
         }
     }
 
-    /// Convenience: latency of a request/response round trip
-    /// (`src -> dst` of `request` kind, then `dst -> src` of `response`
-    /// kind), returning the final arrival cycle back at `src`.
-    pub fn round_trip(
-        &mut self,
-        src: CoreId,
-        dst: CoreId,
-        request: MessageKind,
-        response: MessageKind,
-        now: Cycle,
-    ) -> Delivery {
-        let there = self.send(src, dst, request, now);
-        let back = self.send(dst, src, response, there.arrival);
-        Delivery {
-            arrival: back.arrival,
-            latency: back.arrival.since(now),
-            hops: there.hops + back.hops,
-            flits: there.flits + back.flits,
-        }
-    }
-
-    /// Accumulated traffic statistics.
+    /// The energy event counts accumulated so far.
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
     }
 
-    /// Snapshots the link occupancy and statistics for checkpointing.
+    /// Snapshots the link occupancy and event counts for checkpointing.
     pub fn state(&self) -> NetworkState {
         NetworkState {
             links: self.links.clone(),
-            messages: self.stats.messages(),
-            control_messages: self.stats.control_messages(),
-            data_messages: self.stats.data_messages(),
-            flit_hops: self.stats.flit_hops(),
-            router_traversals: self.stats.router_traversals(),
-            latency: self.stats.latency_distribution(),
+            flit_hops: self.stats.flit_hops,
+            router_traversals: self.stats.router_traversals,
         }
     }
 
@@ -182,14 +157,10 @@ impl Network {
             "link count mismatch: the snapshot is from a different mesh"
         );
         self.links.clone_from(&state.links);
-        self.stats = NetworkStats::from_parts(
-            state.messages,
-            state.control_messages,
-            state.data_messages,
-            state.flit_hops,
-            state.router_traversals,
-            &state.latency,
-        );
+        self.stats = NetworkStats {
+            flit_hops: state.flit_hops,
+            router_traversals: state.router_traversals,
+        };
     }
 }
 
@@ -284,26 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_adds_both_directions() {
-        let mut net = network();
-        let d = net.round_trip(
-            CoreId::new(0),
-            CoreId::new(7),
-            MessageKind::Control,
-            MessageKind::Data,
-            Cycle::new(10),
-        );
-        assert_eq!(d.hops, 14);
-        assert_eq!(d.flits, 10);
-        assert!(d.arrival.value() > 10);
-        // Round trip latency >= sum of base latencies.
-        let net2 = network();
-        let there = net2.base_latency(CoreId::new(0), CoreId::new(7), MessageKind::Control);
-        let back = net2.base_latency(CoreId::new(7), CoreId::new(0), MessageKind::Data);
-        assert!(d.latency.value() >= (there + back).value());
-    }
-
-    #[test]
     fn state_roundtrip_preserves_contention_and_stats() {
         let mut net = network();
         net.send(
@@ -368,15 +319,11 @@ mod tests {
             Cycle::ZERO,
         );
         let stats = net.stats();
-        assert_eq!(stats.messages(), 2);
-        assert_eq!(stats.data_messages(), 1);
-        assert_eq!(stats.control_messages(), 1);
         assert_eq!(stats.flit_hops(), 9 * 2 + 2);
         assert_eq!(stats.router_traversals(), (2 + 1) * 9 + (2 + 1));
-        assert!(stats.max_latency().value() > 0);
         // Restoring an idle network's snapshot clears the statistics.
         net.restore_state(&network().state());
-        assert_eq!(net.stats().messages(), 0);
         assert_eq!(net.stats().flit_hops(), 0);
+        assert_eq!(net.stats().router_traversals(), 0);
     }
 }

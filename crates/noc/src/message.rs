@@ -29,29 +29,3 @@ pub struct Delivery {
     /// Number of flits in the message.
     pub flits: usize,
 }
-
-impl Delivery {
-    /// A delivery that took no network time (local, same-tile communication).
-    pub fn local(now: Cycle) -> Self {
-        Delivery {
-            arrival: now,
-            latency: Cycle::ZERO,
-            hops: 0,
-            flits: 0,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn local_delivery_is_free() {
-        let d = Delivery::local(Cycle::new(42));
-        assert_eq!(d.arrival, Cycle::new(42));
-        assert_eq!(d.latency, Cycle::ZERO);
-        assert_eq!(d.hops, 0);
-        assert_eq!(d.flits, 0);
-    }
-}

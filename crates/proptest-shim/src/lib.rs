@@ -10,7 +10,8 @@
 //! * `arg in strategy` argument binding,
 //! * [`prop_assert!`], [`prop_assert_eq!`], [`prop_assert_ne!`],
 //! * integer-range / `any::<T>()` / tuple / `prop::collection::vec`
-//!   strategies, [`Strategy::prop_map`] and [`prop_oneof!`].
+//!   strategies, [`Strategy::prop_map`](strategy::Strategy::prop_map) and
+//!   [`prop_oneof!`].
 //!
 //! Unlike the real proptest there is no shrinking and no persisted failure
 //! regression file: cases are generated from a deterministic per-test seed so

@@ -34,6 +34,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use lad_common::cli::{no_leftovers, parse_number, take_flag, take_switch};
 use lad_common::json::JsonValue;
 use lad_serve::client::{Client, RetryPolicy};
 use lad_serve::protocol::{JobSpec, SystemPreset, TraceSpec};
@@ -89,43 +90,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls the value of `--flag value` out of `args`, removing both tokens.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(index) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if index + 1 >= args.len() {
-        return Err(format!("{flag} requires a value"));
-    }
-    let value = args.remove(index + 1);
-    args.remove(index);
-    Ok(Some(value))
-}
-
-/// Pulls a bare `--flag` out of `args`, reporting whether it was present.
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(index) => {
-            args.remove(index);
-            true
-        }
-        None => false,
-    }
-}
-
-fn parse_number<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{what} must be a number, got {value:?}"))
-}
-
-fn no_leftovers(args: &[String]) -> Result<(), String> {
-    match args.first() {
-        Some(extra) => Err(format!("unexpected argument {extra:?}\n\n{USAGE}")),
-        None => Ok(()),
-    }
-}
-
 /// Writes to stdout, exiting quietly when the consumer closed the pipe
 /// early — `lad-client ... | head` or `| grep -q` must not panic or fail
 /// the pipeline.  Any other stdout error is a real, reportable failure.
@@ -174,13 +138,13 @@ fn run(args: &mut Vec<String>) -> Result<(), String> {
         "wait" => cmd_job_verb_json(args, |job| client.wait(job, POLL)),
         "cancel" => cmd_job_verb(args, |job| client.cancel(job)),
         "health" => {
-            no_leftovers(args)?;
+            no_leftovers(args, USAGE)?;
             emit(&client.health().map_err(|err| err.to_string())?, None)
         }
         "metrics" => cmd_metrics(&mut client, args),
         "watch" => cmd_watch(&addr, &mut client, args),
         "shutdown" => {
-            no_leftovers(args)?;
+            no_leftovers(args, USAGE)?;
             emit(&client.shutdown().map_err(|err| err.to_string())?, None)
         }
         other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
@@ -211,7 +175,7 @@ fn cmd_submit(client: &mut Client, args: &mut Vec<String>) -> Result<(), String>
     };
     let wait = take_switch(args, "--wait");
     let json_path = take_flag(args, "--json")?;
-    no_leftovers(args)?;
+    no_leftovers(args, USAGE)?;
 
     let spec = JobSpec {
         trace,
@@ -304,7 +268,7 @@ fn field_str<'a>(value: &'a JsonValue, path: &[&str]) -> &'a str {
 fn cmd_metrics(client: &mut Client, args: &mut Vec<String>) -> Result<(), String> {
     let prometheus = take_switch(args, "--prometheus");
     let json_path = take_flag(args, "--json")?;
-    no_leftovers(args)?;
+    no_leftovers(args, USAGE)?;
     let response = client.metrics().map_err(|err| err.to_string())?;
     if prometheus {
         let text = response
@@ -333,7 +297,7 @@ fn cmd_watch(addr: &str, client: &mut Client, args: &mut Vec<String>) -> Result<
         Some(value) => parse_number(&value, "--count")?,
         None => 0,
     };
-    no_leftovers(args)?;
+    no_leftovers(args, USAGE)?;
     let mut drawn = 0u64;
     loop {
         let metrics = client.metrics().map_err(|err| err.to_string())?;

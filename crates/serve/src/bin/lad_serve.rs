@@ -20,6 +20,7 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use lad_common::cli::{no_leftovers, parse_number, take_flag};
 use lad_common::fault::{FaultInjector, FaultPlan};
 use lad_serve::server::{self, ServerConfig};
 
@@ -54,25 +55,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls the value of `--flag value` out of `args`, removing both tokens.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(index) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if index + 1 >= args.len() {
-        return Err(format!("{flag} requires a value"));
-    }
-    let value = args.remove(index + 1);
-    args.remove(index);
-    Ok(Some(value))
-}
-
-fn parse_number<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{what} must be a number, got {value:?}"))
-}
-
 fn run(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let data_dir =
@@ -104,9 +86,7 @@ fn run(args: &[String]) -> Result<(), String> {
         eprintln!("lad-serve: fault injector ARMED: {plan}");
         config.fault = FaultInjector::armed(plan);
     }
-    if let Some(extra) = args.first() {
-        return Err(format!("unexpected argument {extra:?}\n\n{USAGE}"));
-    }
+    no_leftovers(&args, USAGE)?;
     server::run(config, |addr| {
         println!("lad-serve listening on {addr}");
         let _ = std::io::stdout().flush();

@@ -182,7 +182,7 @@ impl ResultCache {
     /// a digest-sealed envelope (atomically: temp file + `fsync` +
     /// rename).
     ///
-    /// Spill failures degrade, never poison: after [`DEGRADE_AFTER`]
+    /// Spill failures degrade, never poison: after `DEGRADE_AFTER` (3)
     /// consecutive failures (or one `ENOSPC`) the cache flips to
     /// memory-only mode and stops touching the disk — surfaced through
     /// [`ResultCache::mode`] and the `health` and `metrics` verbs.

@@ -29,6 +29,7 @@ use std::path::PathBuf;
 
 use lad_common::json::JsonValue;
 use lad_sim::experiment::ReplayError;
+use lad_traceio::digest::{fnv1a, FNV_OFFSET_BASIS};
 
 /// Version tag of the wire protocol, exported by the `metrics` verb as
 /// the `lad_serve_protocol_version` gauge.  Version 2 folded version 1's
@@ -445,14 +446,7 @@ fn bad(message: &str) -> ServeError {
 /// the result-cache key (the trace half is the
 /// [`lad_traceio::TraceDigest`] content digest).
 pub fn fingerprint(text: &str) -> u64 {
-    const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET_BASIS;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    fnv1a(FNV_OFFSET_BASIS, text.as_bytes())
 }
 
 /// The canonical 16-hex-digit rendering of a fingerprint word.

@@ -14,7 +14,7 @@
 //!
 //! # Encoding
 //!
-//! [`EngineCheckpoint::to_json`] produces `{"format": 1, "bytes": "<hex>"}`:
+//! [`EngineCheckpoint::to_json`] produces `{"format": 2, "bytes": "<hex>"}`:
 //! the body is one binary blob, hex-encoded ([`lad_common::hex`]) so the
 //! digest-sealed JSON envelope the service spills it in is unchanged.  The
 //! body is built from the LADT codecs of [`lad_traceio::varint`]: every
@@ -24,17 +24,17 @@
 //! 1. **header** — benchmark and scheme (length-prefixed UTF-8), active
 //!    cores, RT, classifier capacity (`0` = Complete, `k + 1` = Limited_k);
 //! 2. **tiles** — count, then per tile its clock and three caches (L1-I,
-//!    L1-D, LLC slice), each as LRU clock, hits, misses, evictions and the
-//!    occupied slots `(slot, tag, stamp, entry)` with slot and tag
-//!    delta-coded against the previous slot.  An L1 entry is one MESI byte;
-//!    an LLC entry starts with one flag byte (home/replica, dirty, ACKwise
-//!    global mode, owner present / L1 copy, replica MESI state) followed by
-//!    the owner, pointer budget, tracked sharers, global sharer count and
-//!    classifier entries `(core, mode|active byte, reuse)` of a home, or the
-//!    reuse counter of a replica;
-//! 3. **network** — per-link `(busy_until, flits)`, message counters and
-//!    the latency histogram (values delta-coded, ascending);
-//! 4. **DRAM** — per-controller `(free_at, accesses, busy_cycles)`;
+//!    L1-D, LLC slice), each as its LRU clock and the occupied slots
+//!    `(slot, tag, stamp, entry)` with slot and tag delta-coded against the
+//!    previous slot.  An L1 entry is one MESI byte; an LLC entry starts
+//!    with one flag byte (home/replica, dirty, ACKwise global mode, owner
+//!    present / L1 copy, replica MESI state) followed by the owner, pointer
+//!    budget, tracked sharers, global sharer count and classifier entries
+//!    `(core, mode|active byte, reuse)` of a home, or the reuse counter of a
+//!    replica;
+//! 3. **network** — each link's `busy_until`, then the flit-hop and
+//!    router-traversal counts;
+//! 4. **DRAM** — per-controller `(free_at, accesses)`;
 //! 5. **RNG** — the four xoshiro256++ words as raw little-endian `u64`s;
 //! 6. **energy** — the seven component totals as raw little-endian `f64`
 //!    bits, so they round-trip exactly;
@@ -49,9 +49,10 @@
 //! The body must be consumed exactly; trailing bytes are an error.
 //!
 //! **Versioning.** A document whose `format` is not [`FORMAT`] — including
-//! every all-JSON checkpoint written before the binary body existed — is
-//! rejected by [`EngineCheckpoint::from_json`]; the service then ignores the
-//! spill and reruns the cell from access 0, exactly as for a stale one.
+//! every all-JSON checkpoint written before the binary body existed, and
+//! every format-1 body — is rejected by [`EngineCheckpoint::from_json`]; the
+//! service then ignores the spill and reruns the cell from access 0, exactly
+//! as for a stale one.
 //!
 //! # Validation
 //!
@@ -80,7 +81,7 @@ use lad_common::stats::Histogram;
 use lad_common::types::{CacheLine, CoreId, Cycle, DataClass};
 use lad_dram::DramControllerState;
 use lad_energy::accounting::{Component, EnergyAccounting};
-use lad_noc::{LinkState, NetworkState};
+use lad_noc::NetworkState;
 use lad_replication::classifier::{
     ClassifierKind, LocalityClassifier, ReplicationMode, TrackedCore,
 };
@@ -96,7 +97,7 @@ use crate::Simulator;
 
 /// The body encoding [`EngineCheckpoint::to_json`] writes and
 /// [`EngineCheckpoint::from_json`] accepts.
-pub const FORMAT: u64 = 1;
+pub const FORMAT: u64 = 2;
 
 /// Snapshot of one tile: core clock plus the three cache arrays.
 #[derive(Debug, Clone)]
@@ -130,7 +131,7 @@ pub struct EngineCheckpoint {
     pub classifier_capacity: Option<usize>,
     /// Per-tile state, in core order (all tiles, not just active cores).
     pub tiles: Vec<TileCheckpoint>,
-    /// Network link occupancy and traffic statistics.
+    /// Network link occupancy and energy event counts.
     pub network: NetworkState,
     /// Per-controller DRAM state.
     pub dram: Vec<DramControllerState>,
@@ -285,10 +286,7 @@ fn put_histogram(out: &mut Vec<u8>, samples: &[(u64, u64)]) {
 }
 
 fn put_cache<V>(out: &mut Vec<u8>, state: &CacheState<V>, entry: impl Fn(&mut Vec<u8>, &V)) {
-    put_all(
-        out,
-        [state.clock, state.hits, state.misses, state.evictions],
-    );
+    put(out, state.clock);
     put(out, state.slots.len() as u64);
     let (mut slot_at, mut tag_at) = (0, 0);
     for (slot, tag, stamp, value) in &state.slots {
@@ -365,30 +363,11 @@ impl EngineCheckpoint {
 
         let network = &self.network;
         put(&mut out, network.links.len() as u64);
-        for link in &network.links {
-            put_all(&mut out, [link.busy_until.value(), link.flits]);
-        }
-        put_all(
-            &mut out,
-            [
-                network.messages,
-                network.control_messages,
-                network.data_messages,
-                network.flit_hops,
-                network.router_traversals,
-            ],
-        );
-        put_histogram(&mut out, &network.latency);
+        put_all(&mut out, network.links.iter().map(|busy| busy.value()));
+        put_all(&mut out, [network.flit_hops, network.router_traversals]);
         put(&mut out, self.dram.len() as u64);
         for controller in &self.dram {
-            put_all(
-                &mut out,
-                [
-                    controller.free_at.value(),
-                    controller.accesses,
-                    controller.busy_cycles,
-                ],
-            );
+            put_all(&mut out, [controller.free_at.value(), controller.accesses]);
         }
 
         for word in self.rng {
@@ -444,7 +423,7 @@ impl EngineCheckpoint {
         out
     }
 
-    /// The checkpoint as `{"format": 1, "bytes": "<hex>"}` — the binary
+    /// The checkpoint as `{"format": 2, "bytes": "<hex>"}` — the binary
     /// body of the module docs, hex-encoded.  Round-trips exactly through
     /// [`EngineCheckpoint::from_json`].
     pub fn to_json(&self) -> JsonValue {
@@ -630,7 +609,6 @@ impl Body<'_> {
         mut entry: impl FnMut(&mut Self) -> Result<V, String>,
     ) -> Result<CacheState<V>, String> {
         let clock = self.u64(what)?;
-        let (hits, misses, evictions) = (self.u64(what)?, self.u64(what)?, self.u64(what)?);
         let (mut slot_at, mut tag_at) = (None, 0);
         let slots = self.list(what, |body| {
             let slot = body.ascending(&mut slot_at, what)?;
@@ -644,13 +622,7 @@ impl Body<'_> {
             }
             Ok((slot, tag, stamp, entry(body)?))
         })?;
-        Ok(CacheState {
-            slots,
-            clock,
-            hits,
-            misses,
-            evictions,
-        })
+        Ok(CacheState { slots, clock })
     }
 
     fn llc_entry(&mut self, rt: u32, kind: ClassifierKind) -> Result<LlcEntry, String> {
@@ -769,24 +741,14 @@ impl Body<'_> {
             .collect::<Result<_, String>>()?;
 
         let network = NetworkState {
-            links: self.list("links", |body| {
-                Ok(LinkState {
-                    busy_until: Cycle::new(body.u64("link horizon")?),
-                    flits: body.u64("link flits")?,
-                })
-            })?,
-            messages: self.u64("network messages")?,
-            control_messages: self.u64("network control messages")?,
-            data_messages: self.u64("network data messages")?,
+            links: self.list("links", |body| Ok(Cycle::new(body.u64("link horizon")?)))?,
             flit_hops: self.u64("network flit hops")?,
             router_traversals: self.u64("network router traversals")?,
-            latency: self.histogram("network latency")?,
         };
         let dram = self.list("DRAM controllers", |body| {
             Ok(DramControllerState {
                 free_at: Cycle::new(body.u64("DRAM horizon")?),
                 accesses: body.u64("DRAM accesses")?,
-                busy_cycles: body.u64("DRAM busy cycles")?,
             })
         })?;
 
@@ -990,11 +952,13 @@ mod tests {
         assert!(err.contains("even number"), "{err}");
 
         // Unknown or missing formats — including the all-JSON checkpoints
-        // written before the binary body — are rejected, never guessed at.
+        // written before the binary body, and format 1 — are rejected, never
+        // guessed at.
         for format in [
             JsonValue::from(0u64),
-            JsonValue::from(2u64),
-            JsonValue::from("1"),
+            JsonValue::from(1u64),
+            JsonValue::from(3u64),
+            JsonValue::from("2"),
         ] {
             let doc =
                 JsonValue::object([("format", format.clone()), ("bytes", JsonValue::from(hex))]);

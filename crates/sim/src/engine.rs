@@ -318,7 +318,7 @@ impl Simulator {
         }
         // The only place tiles are made: `reset` clears them in place.
         let tiles = (0..system.num_cores)
-            .map(|i| Tile::new(CoreId::new(i), &system, &replication))
+            .map(|_| Tile::new(&system, &replication))
             .collect();
         let (network, dram, home_map) = Self::build_uncore(&system, policy.as_ref());
         let active_cores = system.num_cores;
@@ -1030,8 +1030,8 @@ impl Simulator {
         self.latency.compute += access.compute_cycles as u64 + l1_latency as u64;
         self.record_l1_energy(is_instruction, is_write);
 
-        // L1 lookup.
-        let mut upgrade_from_shared = false;
+        // L1 lookup.  A write to a Shared copy needs an upgrade, which takes
+        // the miss path below.
         let mut served_by_l1 = false;
         {
             let tile = &mut self.tiles[core.index()];
@@ -1041,9 +1041,6 @@ impl Simulator {
                 } else if state.can_write_locally() {
                     *state = MesiState::Modified;
                     served_by_l1 = true;
-                } else {
-                    // Shared copy: upgrade needed, fall through to the miss path.
-                    upgrade_from_shared = true;
                 }
             }
         }
@@ -1072,16 +1069,8 @@ impl Simulator {
         }
 
         // Step 2: go to the home location.
-        let (finish, grant_state, served_offchip) = self.access_home(
-            core,
-            home,
-            replica_slice,
-            line,
-            is_write,
-            class,
-            now,
-            upgrade_from_shared,
-        );
+        let (finish, grant_state, served_offchip) =
+            self.access_home(core, home, replica_slice, line, is_write, class, now);
         now = finish;
         if served_offchip {
             self.misses.offchip_misses += 1;
@@ -1229,7 +1218,6 @@ impl Simulator {
         is_write: bool,
         class: DataClass,
         now: Cycle,
-        _upgrade: bool,
     ) -> (Cycle, MesiState, bool) {
         // If the requester holds a Shared LLC replica and wants to write, the
         // replica is invalidated as part of obtaining exclusivity; collect
@@ -2172,10 +2160,10 @@ mod tests {
     #[test]
     fn rerunning_the_same_simulator_resets_state() {
         // `begin` clears the tiles in place instead of rebuilding them, so a
-        // stale LLC slot, counter or LRU clock left by an earlier run would
-        // change what follows.  Dirty each simulator with a run that evicts
-        // from the LLC, then compare the whole report, and the whole
-        // checkpoint at a mid-run cancel, with a fresh simulator's.
+        // stale LLC slot or LRU clock left by an earlier run would change
+        // what follows.  Dirty each simulator with a run that evicts from the
+        // LLC, then compare the whole report, and the whole checkpoint at a
+        // mid-run cancel, with a fresh simulator's.
         use crate::experiment::SchemeComparison;
 
         let dirty = small_trace(Benchmark::Radix, 600, 7);
@@ -2198,8 +2186,17 @@ mod tests {
 
             let mut reused = Simulator::new(SystemConfig::small_test(), config);
             reused.run(&dirty);
-            let evictions: u64 = reused.tiles.iter().map(|tile| tile.llc.evictions()).sum();
-            assert!(evictions > 0, "{scheme}: the dirtying run must evict");
+            // Every line the dirty trace touched was filled at a home slice,
+            // and home entries leave the LLC only by eviction.
+            let line_bytes = reused.system.cache_line_bytes;
+            let evicted_home = dirty.iter().any(|access| {
+                let line = access.address.line(line_bytes);
+                !reused
+                    .tiles
+                    .iter()
+                    .any(|tile| matches!(tile.llc.probe(line), Some(LlcEntry::Home(_))))
+            });
+            assert!(evicted_home, "{scheme}: the dirtying run must evict");
             assert_eq!(
                 checkpoint_json(&mut reused),
                 expected_checkpoint,

@@ -5,15 +5,13 @@ use lad_cache::l1::L1Cache;
 use lad_cache::llc_slice::LlcSlice;
 use lad_coherence::mesi::MesiState;
 use lad_common::config::SystemConfig;
-use lad_common::types::{CoreId, Cycle};
+use lad_common::types::Cycle;
 use lad_replication::config::ReplicationConfig;
 use lad_replication::entry::LlcEntry;
 
 /// Per-tile architectural state.
 #[derive(Debug, Clone)]
 pub struct Tile {
-    /// This tile's core id.
-    pub id: CoreId,
     /// Private L1 instruction cache (entries carry the MESI state of the
     /// copy).
     pub l1i: L1Cache<MesiState>,
@@ -28,9 +26,8 @@ pub struct Tile {
 
 impl Tile {
     /// Builds one tile from the system and replication configurations.
-    pub fn new(id: CoreId, system: &SystemConfig, replication: &ReplicationConfig) -> Self {
+    pub fn new(system: &SystemConfig, replication: &ReplicationConfig) -> Self {
         Tile {
-            id,
             l1i: L1Cache::new(&system.l1i, system.cache_line_bytes),
             l1d: L1Cache::new(&system.l1d, system.cache_line_bytes),
             llc: LlcSlice::with_policy(
@@ -42,9 +39,9 @@ impl Tile {
         }
     }
 
-    /// Empties every cache, zeroes their counters and rewinds the clock,
-    /// leaving the tile indistinguishable from a newly built one.  Only
-    /// resident lines are written, so this costs what the last run touched.
+    /// Empties every cache and rewinds the clock, leaving the tile
+    /// indistinguishable from a newly built one.  Only resident lines are
+    /// written, so this costs what the last run touched.
     pub fn clear(&mut self) {
         self.l1i.clear();
         self.l1d.clear();
@@ -69,8 +66,7 @@ mod tests {
     #[test]
     fn tile_geometry_follows_config() {
         let system = SystemConfig::paper_default();
-        let tile = Tile::new(CoreId::new(3), &system, &ReplicationConfig::paper_default());
-        assert_eq!(tile.id, CoreId::new(3));
+        let tile = Tile::new(&system, &ReplicationConfig::paper_default());
         assert_eq!(tile.l1i.capacity(), 16 * 1024 / 64);
         assert_eq!(tile.l1d.capacity(), 32 * 1024 / 64);
         assert_eq!(tile.llc.capacity(), 256 * 1024 / 64);
@@ -80,7 +76,7 @@ mod tests {
     #[test]
     fn l1_selection_by_access_kind() {
         let system = SystemConfig::small_test();
-        let mut tile = Tile::new(CoreId::new(0), &system, &ReplicationConfig::paper_default());
+        let mut tile = Tile::new(&system, &ReplicationConfig::paper_default());
         let icap = tile.l1_for(true).capacity();
         let dcap = tile.l1_for(false).capacity();
         assert_eq!(icap, system.l1i.capacity_bytes / 64);
@@ -93,7 +89,7 @@ mod tests {
         let system = SystemConfig::small_test();
         let plain =
             ReplicationConfig::paper_default().with_llc_replacement(LlcReplacementPolicy::PlainLru);
-        let tile = Tile::new(CoreId::new(0), &system, &plain);
+        let tile = Tile::new(&system, &plain);
         assert_eq!(
             tile.llc.replacement_policy(),
             LlcReplacementPolicy::PlainLru

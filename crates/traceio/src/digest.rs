@@ -22,10 +22,14 @@ use lad_trace::generator::WorkloadTrace;
 use crate::error::TraceError;
 use crate::source::{ReaderSource, TraceSource};
 
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64 offset basis: the hash of the empty string, and the
+/// `hash` to start [`fnv1a`] from.
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+/// Continues an FNV-1a 64 hash over `bytes`, starting from `hash`
+/// ([`FNV_OFFSET_BASIS`] for a fresh hash).
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     let mut hash = hash;
     for &byte in bytes {
         hash ^= u64::from(byte);

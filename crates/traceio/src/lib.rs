@@ -5,8 +5,8 @@
 //! bounds workloads by RAM and limits them to the built-in synthetic
 //! generator.  This crate adds a portable on-disk form — **LADT** (magic +
 //! version + header, per-core chunked frames, varint + zigzag delta-encoded
-//! addresses and compute gaps; see [`format`] for the byte-level spec) —
-//! with streaming [`TraceWriter`]/[`TraceReader`] over any
+//! addresses and compute gaps; see [`format`](mod@format) for the
+//! byte-level spec) — with streaming [`TraceWriter`]/[`TraceReader`] over any
 //! `std::io::Write`/`Read`, so traces replay byte-for-byte reproducibly
 //! across machines in O(chunk) memory instead of O(trace).
 //!

@@ -6,11 +6,10 @@
 //! *per-core* streams — [`TraceSource::next_for_core`] — rather than one
 //! flat sequence.  Three implementations cover the repo's scenario classes:
 //!
-//! * [`MemorySource`] — borrows an in-memory
-//!   [`WorkloadTrace`](lad_trace::generator::WorkloadTrace); `Simulator::run`
-//!   itself is a thin wrapper over it.
+//! * [`MemorySource`] — borrows an in-memory [`WorkloadTrace`];
+//!   `Simulator::run` itself is a thin wrapper over it.
 //! * [`GeneratorSource`] — materializes a synthetic trace from a
-//!   [`TraceGenerator`](lad_trace::generator::TraceGenerator) on first use.
+//!   [`TraceGenerator`] on first use.
 //! * [`ReaderSource`] — streams a LADT file in O(chunk-per-core) memory;
 //!   [`FileSource`] is its `BufReader<File>` alias with a path-based
 //!   constructor.

@@ -29,6 +29,7 @@ use locality_replication::energy::model::EnergyModel;
 use locality_replication::replication::policy::SchemeRegistry;
 use locality_replication::replication::scheme::SchemeId;
 use locality_replication::serve::client::{Client, ClientError, RetryPolicy};
+use locality_replication::serve::durable;
 use locality_replication::serve::protocol::{
     fingerprint, fingerprint_hex, JobSpec, SystemPreset, TraceSpec,
 };
@@ -91,6 +92,14 @@ fn job_id(receipt: &JsonValue) -> String {
         .and_then(JsonValue::as_str)
         .expect("submit response carries the job id")
         .to_string()
+}
+
+/// `object` with the value of its field `key` replaced by `value`.
+fn with_field(object: &JsonValue, key: &str, value: JsonValue) -> JsonValue {
+    JsonValue::object(object.as_object().unwrap().iter().map(|(name, old)| {
+        let new = if name == key { &value } else { old };
+        (name.clone(), new.clone())
+    }))
 }
 
 /// The value of the unlabelled sample `name` in a `metrics` frame.
@@ -355,6 +364,23 @@ fn torn_checkpoint_at_every_kill_point_recovers_byte_identically() {
         bad[flip] ^= 0x40;
         mutations.push(Some(bad));
     }
+    // The intact spill relabelled as a format-1 checkpoint and re-sealed:
+    // what a spill written before the current body format looks like after
+    // an upgrade.  Its digest verifies, so it is not quarantined; its body
+    // format is unknown, so it is ignored and the cell reruns from access 0.
+    let stale_format = {
+        let envelope = JsonValue::parse(std::str::from_utf8(&good).unwrap()).unwrap();
+        let body = envelope.get("body").unwrap();
+        let checkpoint = with_field(
+            body.get("checkpoint").unwrap(),
+            "format",
+            JsonValue::from(1u64),
+        );
+        durable::seal(with_field(body, "checkpoint", checkpoint))
+            .pretty()
+            .into_bytes()
+    };
+    mutations.push(Some(stale_format.clone()));
     mutations.push(None);
 
     // Whether `bytes` still parses and digest-verifies as a sealed
@@ -385,6 +411,11 @@ fn torn_checkpoint_at_every_kill_point_recovers_byte_identically() {
         std::fs::remove_file(&quarantine_path).ok();
         let bytes = mutation.as_deref().unwrap_or(&good);
         let valid = verifies(bytes);
+        let stale = bytes == stale_format.as_slice();
+        assert!(
+            !stale || valid,
+            "the re-sealed stale-format spill must verify"
+        );
         std::fs::write(&checkpoint_path, bytes).unwrap();
 
         let server = Server::spawn(cfg.clone()).unwrap();
@@ -397,7 +428,18 @@ fn torn_checkpoint_at_every_kill_point_recovers_byte_identically() {
         );
         let metrics = client.metrics().unwrap();
         assert_eq!(metric(&metrics, "lad_serve_cells_executed_total"), 1);
-        if valid {
+        if stale {
+            assert_eq!(
+                metric(&metrics, "lad_serve_cells_resumed_total"),
+                0,
+                "mutation {index}: a checkpoint in an old body format must not resume"
+            );
+            assert_eq!(
+                metric(&metrics, "lad_serve_checkpoints_quarantined_total"),
+                0,
+                "mutation {index}: a digest-valid checkpoint is never quarantined"
+            );
+        } else if valid {
             assert_eq!(
                 metric(&metrics, "lad_serve_cells_resumed_total"),
                 1,
