@@ -32,16 +32,6 @@ impl InvalidationTargets {
             InvalidationTargets::Broadcast { expected_acks } => *expected_acks,
         }
     }
-
-    /// Number of invalidation messages that must be sent for a system of
-    /// `num_cores` cores (broadcast touches everyone except the requester
-    /// handled by the caller).
-    pub fn messages_sent(&self, num_cores: usize) -> usize {
-        match self {
-            InvalidationTargets::Exact(cores) => cores.len(),
-            InvalidationTargets::Broadcast { .. } => num_cores,
-        }
-    }
 }
 
 /// Hardware pointer budgets up to this size are stored inline in the
@@ -409,7 +399,6 @@ mod tests {
             }
             other => panic!("expected broadcast, got {other:?}"),
         }
-        assert_eq!(s.invalidation_targets(core(0)).messages_sent(64), 64);
     }
 
     #[test]
@@ -427,7 +416,6 @@ mod tests {
             other => panic!("expected exact, got {other:?}"),
         }
         assert_eq!(targets.expected_acks(), 2);
-        assert_eq!(targets.messages_sent(64), 2);
     }
 
     #[test]

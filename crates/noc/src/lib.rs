@@ -7,8 +7,8 @@
 //! serializes the flits of the messages crossing it, so a message arriving at
 //! a busy link waits for the link to drain.
 //!
-//! The model is transaction-level: [`Network::send`] computes the delivery
-//! latency of one message injected at a given cycle, advances the busy
+//! The model is transaction-level: [`Network::send`] computes the arrival
+//! cycle of one message injected at a given cycle, advances the busy
 //! horizon of every link it crosses (the only per-link state), and records
 //! the two event counts (router traversals and link-flit traversals) that
 //! drive the energy model.
@@ -22,11 +22,14 @@
 //!
 //! let config = SystemConfig::paper_default();
 //! let mut net = Network::new(&config.network, config.cache_line_bytes);
-//! let delivery = net.send(CoreId::new(0), CoreId::new(63), MessageKind::Data, Cycle::ZERO);
+//! let (src, dst) = (CoreId::new(0), CoreId::new(63));
+//! let arrival = net.send(src, dst, MessageKind::Data, Cycle::ZERO);
 //! // 0 -> 63 on an 8x8 mesh is 7 + 7 = 14 hops at 2 cycles each, plus
 //! // serialization of the 9-flit message.
-//! assert_eq!(delivery.hops, 14);
-//! assert!(delivery.latency.value() >= 28);
+//! assert_eq!(net.mesh().hops(src, dst), 14);
+//! assert_eq!(net.message_flits(MessageKind::Data), 9);
+//! assert_eq!(arrival, Cycle::new(14 * 2 + 8));
+//! assert_eq!(arrival, net.base_latency(src, dst, MessageKind::Data));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,17 +40,21 @@ pub mod message;
 pub mod topology;
 
 pub use contention::{NetworkState, NetworkStats};
-pub use message::{Delivery, MessageKind};
+pub use message::MessageKind;
 pub use topology::Mesh;
 
 use lad_common::config::NetworkConfig;
 use lad_common::types::{CoreId, Cycle};
+
+use topology::{EAST, NORTH, SOUTH, WEST};
 
 /// The on-chip network: topology, timing and contention state.  Every
 /// message queues behind earlier traffic on the links it crosses.
 #[derive(Debug, Clone)]
 pub struct Network {
     mesh: Mesh,
+    /// `(x, y)` of every router, so routing a message divides nothing.
+    positions: Vec<(usize, usize)>,
     hop_latency: u32,
     control_flits: usize,
     data_flits: usize,
@@ -66,8 +73,12 @@ impl Network {
     pub fn new(config: &NetworkConfig, line_bytes: usize) -> Self {
         let mesh = Mesh::new(config.mesh_width, config.mesh_height);
         let num_links = mesh.num_links();
+        let positions = (0..mesh.height())
+            .flat_map(|y| (0..mesh.width()).map(move |x| (x, y)))
+            .collect();
         Network {
             mesh,
+            positions,
             hop_latency: config.hop_latency,
             control_flits: config.control_message_flits(),
             data_flits: config.data_message_flits(line_bytes),
@@ -97,38 +108,50 @@ impl Network {
         Cycle::new(hops * self.hop_latency as u64 + serialization)
     }
 
-    /// Sends a message from `src` to `dst`, injected at cycle `now`.
+    /// Sends a message from `src` to `dst`, injected at cycle `now`, and
+    /// returns the cycle at which its tail flit arrives.  Local messages
+    /// (`src == dst`) take zero network time.
     ///
-    /// Returns the [`Delivery`] describing when it arrives, how many hops it
-    /// took and how many flits it carried.  Local messages (`src == dst`)
-    /// take zero network time.
-    pub fn send(&mut self, src: CoreId, dst: CoreId, kind: MessageKind, now: Cycle) -> Delivery {
+    /// The message crosses the links of [`Mesh::route`] in order: X links
+    /// first, one router apart, then Y links, one row apart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either core is outside the mesh.
+    pub fn send(&mut self, src: CoreId, dst: CoreId, kind: MessageKind, now: Cycle) -> Cycle {
         let flits = self.message_flits(kind);
-        let route = self.mesh.route_iter(src, dst);
-        let hops = route.len();
-
-        let mut arrival = now;
-        if hops > 0 {
-            // Serialization: the tail flit leaves (flits - 1) cycles after the
-            // head flit.
-            let mut head_time = now;
-            for link in route {
-                let busy_until = &mut self.links[link];
-                let start = head_time.max(*busy_until);
-                let finish = start + self.hop_latency as u64 + (flits - 1) as u64;
-                *busy_until = finish;
-                head_time = start + self.hop_latency as u64;
-                arrival = finish;
-            }
+        let (sx, sy) = self.positions[src.index()];
+        let (dx, dy) = self.positions[dst.index()];
+        let (x_hops, y_hops) = (sx.abs_diff(dx), sy.abs_diff(dy));
+        self.stats.record(x_hops + y_hops, flits);
+        if x_hops + y_hops == 0 {
+            return now;
         }
 
-        self.stats.record(hops, flits);
-        Delivery {
-            arrival,
-            latency: arrival.since(now),
-            hops,
-            flits,
-        }
+        let width = self.mesh.width();
+        let hop = u64::from(self.hop_latency);
+        // Serialization: the tail flit leaves (flits - 1) cycles after the
+        // head flit.
+        let tail = (flits - 1) as u64;
+        // X links leave the routers of the source's row, one router (4 link
+        // ids) apart; Y links leave those of the destination's column, one
+        // row apart.
+        let x_base = (sy * width + sx) * 4;
+        let (x_first, x_stride) = if dx > sx {
+            (x_base + EAST, 4)
+        } else {
+            (x_base + WEST, -4)
+        };
+        let y_base = (sy * width + dx) * 4;
+        let row = 4 * width as isize;
+        let (y_first, y_stride) = if dy > sy {
+            (y_base + NORTH, row)
+        } else {
+            (y_base + SOUTH, -row)
+        };
+        let head = cross(&mut self.links, x_first, x_stride, x_hops, now, hop, tail);
+        let head = cross(&mut self.links, y_first, y_stride, y_hops, head, hop, tail);
+        head + tail
     }
 
     /// The energy event counts accumulated so far.
@@ -164,10 +187,34 @@ impl Network {
     }
 }
 
+/// Moves a message's head flit over `count` links, `stride` link ids apart
+/// from `first`, and returns the cycle it leaves the last one.  The head
+/// waits for each link to drain, then holds it for one hop plus the tail's
+/// serialization.
+fn cross(
+    links: &mut [Cycle],
+    first: usize,
+    stride: isize,
+    count: usize,
+    mut head: Cycle,
+    hop: u64,
+    tail: u64,
+) -> Cycle {
+    let mut link = first;
+    for _ in 0..count {
+        let start = head.max(links[link]);
+        links[link] = start + hop + tail;
+        head = start + hop;
+        link = link.wrapping_add_signed(stride);
+    }
+    head
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use lad_common::config::SystemConfig;
+    use lad_common::rng::DeterministicRng;
 
     fn network() -> Network {
         let config = SystemConfig::paper_default();
@@ -197,15 +244,17 @@ mod tests {
     #[test]
     fn send_local_message_is_instant() {
         let mut net = network();
-        let d = net.send(
+        let arrival = net.send(
             CoreId::new(3),
             CoreId::new(3),
             MessageKind::Data,
             Cycle::new(100),
         );
-        assert_eq!(d.latency, Cycle::ZERO);
-        assert_eq!(d.arrival, Cycle::new(100));
-        assert_eq!(d.hops, 0);
+        assert_eq!(arrival, Cycle::new(100));
+        assert_eq!(net.mesh().hops(CoreId::new(3), CoreId::new(3)), 0);
+        // No link crossed; the 9 flits pass the local router only.
+        assert_eq!(net.stats().flit_hops(), 0);
+        assert_eq!(net.stats().router_traversals(), 9);
     }
 
     #[test]
@@ -214,10 +263,11 @@ mod tests {
         let src = CoreId::new(0);
         let dst = CoreId::new(63);
         let base = net.base_latency(src, dst, MessageKind::Data);
-        let d = net.send(src, dst, MessageKind::Data, Cycle::ZERO);
-        assert_eq!(d.latency, base);
-        assert_eq!(d.hops, 14);
-        assert_eq!(d.flits, 9);
+        let arrival = net.send(src, dst, MessageKind::Data, Cycle::ZERO);
+        assert_eq!(arrival.since(Cycle::ZERO), base);
+        assert_eq!(net.mesh().hops(src, dst), 14);
+        assert_eq!(net.message_flits(MessageKind::Data), 9);
+        assert_eq!(net.stats().flit_hops(), 14 * 9);
     }
 
     #[test]
@@ -229,11 +279,8 @@ mod tests {
         let second = net.send(src, dst, MessageKind::Data, Cycle::ZERO);
         // The first message finds the link idle and takes exactly the base
         // latency; the second queues behind it.
-        assert_eq!(first.latency, net.base_latency(src, dst, MessageKind::Data));
-        assert!(
-            second.latency > first.latency,
-            "second message must queue behind the first"
-        );
+        assert_eq!(first, net.base_latency(src, dst, MessageKind::Data));
+        assert!(second > first, "second message must queue behind the first");
     }
 
     #[test]
@@ -251,7 +298,7 @@ mod tests {
             MessageKind::Data,
             Cycle::ZERO,
         );
-        assert_eq!(a.latency, b.latency);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -325,5 +372,83 @@ mod tests {
         net.restore_state(&network().state());
         assert_eq!(net.stats().flit_hops(), 0);
         assert_eq!(net.stats().router_traversals(), 0);
+    }
+
+    /// The per-link update `send` must reproduce, over the reference route:
+    /// the head flit waits for each link to drain and holds it for one hop
+    /// plus the tail's serialization; the message arrives when its tail
+    /// leaves the last link.
+    fn reference_send(
+        mesh: &Mesh,
+        links: &mut [Cycle],
+        hop_latency: u32,
+        flits: usize,
+        (src, dst, now): (CoreId, CoreId, Cycle),
+    ) -> Cycle {
+        let mut head_time = now;
+        let mut arrival = now;
+        for link in mesh.route(src, dst) {
+            let start = head_time.max(links[link]);
+            let finish = start + hop_latency as u64 + (flits - 1) as u64;
+            links[link] = finish;
+            head_time = start + hop_latency as u64;
+            arrival = finish;
+        }
+        arrival
+    }
+
+    #[test]
+    fn send_matches_a_walk_over_the_reference_route() {
+        // Square and non-square meshes; 128 cores leave two routers idle.
+        for (cores, shape) in [(16, (4, 4)), (12, (4, 3)), (128, (13, 10)), (256, (16, 16))] {
+            let config = SystemConfig::paper_default().with_num_cores(cores);
+            let mut net = Network::new(&config.network, config.cache_line_bytes);
+            let mesh = net.mesh().clone();
+            assert_eq!((mesh.width(), mesh.height()), shape);
+            let hop_latency = config.network.hop_latency;
+            let mut links = vec![Cycle::ZERO; mesh.num_links()];
+            let mut check = |net: &mut Network, message: (CoreId, CoreId, Cycle), kind| {
+                let flits = net.message_flits(kind);
+                let expected = reference_send(&mesh, &mut links, hop_latency, flits, message);
+                let (src, dst, now) = message;
+                assert_eq!(
+                    net.send(src, dst, kind, now),
+                    expected,
+                    "{cores} cores: {src:?} -> {dst:?} at {now:?}"
+                );
+            };
+
+            // Every ordered pair, four messages per cycle, so later
+            // messages queue behind earlier ones.
+            let mut sent = 0u64;
+            for src in 0..cores {
+                for dst in 0..cores {
+                    let kind = if (src + dst) % 2 == 0 {
+                        MessageKind::Control
+                    } else {
+                        MessageKind::Data
+                    };
+                    let now = Cycle::new(sent / 4);
+                    check(&mut net, (CoreId::new(src), CoreId::new(dst), now), kind);
+                    sent += 1;
+                }
+            }
+
+            // A seeded random sequence of both kinds.
+            let mut rng = DeterministicRng::seed_from(cores as u64);
+            let mut now = Cycle::new(sent / 4);
+            for _ in 0..20_000 {
+                let src = CoreId::new(rng.index(cores));
+                let dst = CoreId::new(rng.index(cores));
+                let kind = if rng.chance(0.5) {
+                    MessageKind::Data
+                } else {
+                    MessageKind::Control
+                };
+                now += rng.below(8);
+                check(&mut net, (src, dst, now), kind);
+            }
+            assert_eq!(net.state().links, links, "{cores} cores: link horizons");
+        }
     }
 }

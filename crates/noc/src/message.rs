@@ -1,6 +1,4 @@
-//! Network message kinds and delivery results.
-
-use lad_common::types::Cycle;
+//! Network message kinds.
 
 /// The two sizes of message the coherence protocol exchanges.
 ///
@@ -15,17 +13,4 @@ pub enum MessageKind {
     Control,
     /// Header + cache-line payload: data replies, write-backs.
     Data,
-}
-
-/// The outcome of injecting one message into the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Delivery {
-    /// Cycle at which the tail flit arrives at the destination.
-    pub arrival: Cycle,
-    /// Total latency experienced by the message (arrival − injection).
-    pub latency: Cycle,
-    /// Number of router-to-router hops traversed.
-    pub hops: usize,
-    /// Number of flits in the message.
-    pub flits: usize,
 }

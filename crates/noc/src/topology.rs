@@ -10,8 +10,18 @@ pub struct Mesh {
 }
 
 /// Identifier of a unidirectional link.  Links are numbered so that every
-/// ordered pair of adjacent routers has a distinct id.
+/// ordered pair of adjacent routers has a distinct id: the link leaving
+/// router `r` in direction `d` is `r * 4 + d`.
 pub type LinkId = usize;
+
+/// Link direction towards larger x.
+pub(crate) const EAST: usize = 0;
+/// Link direction towards smaller x.
+pub(crate) const WEST: usize = 1;
+/// Link direction towards larger y.
+pub(crate) const NORTH: usize = 2;
+/// Link direction towards smaller y.
+pub(crate) const SOUTH: usize = 3;
 
 impl Mesh {
     /// Creates a mesh.
@@ -81,24 +91,34 @@ impl Mesh {
 
     /// The sequence of unidirectional links traversed by an XY-routed message
     /// from `src` to `dst` (X first, then Y).  Empty if `src == dst`.
+    ///
+    /// [`Network::send`](crate::Network::send) walks the same links without
+    /// building the list; this is the reference its tests compare against.
     pub fn route(&self, src: CoreId, dst: CoreId) -> Vec<LinkId> {
-        self.route_iter(src, dst).collect()
-    }
-
-    /// Iterator form of [`Mesh::route`]: yields the same links in the same
-    /// order without allocating.  This is the hot path of
-    /// [`Network::send`](crate::Network::send) — one message per coherence
-    /// hop, several hops per L1 miss.
-    pub fn route_iter(&self, src: CoreId, dst: CoreId) -> RouteIter {
-        let (x, y) = self.position(src);
+        let (mut x, mut y) = self.position(src);
         let (dx, dy) = self.position(dst);
-        RouteIter {
-            width: self.width,
-            x,
-            y,
-            dx,
-            dy,
+        let mut links = Vec::with_capacity(self.hops(src, dst));
+        while x != dx {
+            let router = y * self.width + x;
+            if dx > x {
+                links.push(router * 4 + EAST);
+                x += 1;
+            } else {
+                links.push(router * 4 + WEST);
+                x -= 1;
+            }
         }
+        while y != dy {
+            let router = y * self.width + x;
+            if dy > y {
+                links.push(router * 4 + NORTH);
+                y += 1;
+            } else {
+                links.push(router * 4 + SOUTH);
+                y -= 1;
+            }
+        }
+        links
     }
 
     /// The cores of the cluster (of `cluster_size` cores) containing `core`.
@@ -183,56 +203,6 @@ impl Mesh {
     }
 }
 
-/// Non-allocating iterator over the links of one XY route
-/// (see [`Mesh::route_iter`]).
-#[derive(Debug, Clone)]
-pub struct RouteIter {
-    width: usize,
-    x: usize,
-    y: usize,
-    dx: usize,
-    dy: usize,
-}
-
-impl Iterator for RouteIter {
-    type Item = LinkId;
-
-    fn next(&mut self) -> Option<LinkId> {
-        const EAST: usize = 0;
-        const WEST: usize = 1;
-        const NORTH: usize = 2; // towards larger y
-        const SOUTH: usize = 3; // towards smaller y
-
-        let router = (self.y * self.width + self.x) * 4;
-        if self.x != self.dx {
-            if self.dx > self.x {
-                self.x += 1;
-                Some(router + EAST)
-            } else {
-                self.x -= 1;
-                Some(router + WEST)
-            }
-        } else if self.y != self.dy {
-            if self.dy > self.y {
-                self.y += 1;
-                Some(router + NORTH)
-            } else {
-                self.y -= 1;
-                Some(router + SOUTH)
-            }
-        } else {
-            None
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let hops = self.x.abs_diff(self.dx) + self.y.abs_diff(self.dy);
-        (hops, Some(hops))
-    }
-}
-
-impl ExactSizeIterator for RouteIter {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,9 +251,9 @@ mod tests {
         // then north from (1,0).
         let route = mesh.route(CoreId::new(0), CoreId::new(9));
         assert_eq!(route.len(), 2);
-        assert_eq!(route[0] % 4, 0); // east
-        assert_eq!(route[1] % 4, 2); // north
-                                     // Reverse direction uses different unidirectional links.
+        assert_eq!(route[0] % 4, EAST);
+        assert_eq!(route[1] % 4, NORTH);
+        // Reverse direction uses different unidirectional links.
         let back = mesh.route(CoreId::new(9), CoreId::new(0));
         assert!(route.iter().all(|l| !back.contains(l)));
     }

@@ -167,6 +167,21 @@ struct SharerProbe {
     dirty: bool,
 }
 
+/// Returns the home entry for `line` at `home`, which must exist.  A free
+/// function over the tiles, so callers can hold it beside other fields.
+fn home_entry(tiles: &mut [Tile], home: CoreId, line: CacheLine) -> &mut HomeEntry {
+    tiles[home.index()]
+        .llc
+        .probe_mut(line)
+        .and_then(LlcEntry::as_home_mut)
+        .unwrap_or_else(|| {
+            violated(
+                Invariant::HomeResidentDuringRequest,
+                &format!("line {line:?} has no home entry at {home:?} mid-request"),
+            )
+        })
+}
+
 /// The full-system simulator.
 ///
 /// A simulator is built for one system configuration and one LLC management
@@ -1127,10 +1142,9 @@ impl Simulator {
         // Travel to the replica slice if it is not the local one.
         let mut t = now;
         if replica_core != core {
-            let delivery = self
+            t = self
                 .network
                 .send(core, replica_core, MessageKind::Control, t);
-            t = delivery.arrival;
         }
         self.energy
             .record(Component::L2Cache, self.energy_model.llc_tag_pj);
@@ -1182,10 +1196,9 @@ impl Simulator {
 
         let mut finish = t + slice_latency;
         if replica_core != core {
-            let delivery = self
+            finish = self
                 .network
                 .send(replica_core, core, MessageKind::Data, finish);
-            finish = delivery.arrival;
         }
         self.latency.l1_to_llc_replica += finish.since(now).value();
         self.misses.llc_replica_hits += 1;
@@ -1240,9 +1253,9 @@ impl Simulator {
         let mut request_and_reply = 0u64;
         let mut t = now;
         if home != core {
-            let delivery = self.network.send(core, home, MessageKind::Control, t);
-            request_and_reply += delivery.latency.value();
-            t = delivery.arrival;
+            let arrival = self.network.send(core, home, MessageKind::Control, t);
+            request_and_reply += arrival.since(t).value();
+            t = arrival;
         }
 
         // Serialization at the home (memory-consistency ordering).
@@ -1293,16 +1306,14 @@ impl Simulator {
             let ctrl_core = self.dram.controller_core_for(line.index());
             let mut t_mem = t_home;
             if ctrl_core != home {
-                let delivery = self
+                t_mem = self
                     .network
                     .send(home, ctrl_core, MessageKind::Control, t_mem);
-                t_mem = delivery.arrival;
             }
             let access = self.dram.access(line.index(), t_mem);
             t_mem = access.completion;
             if ctrl_core != home {
-                let delivery = self.network.send(ctrl_core, home, MessageKind::Data, t_mem);
-                t_mem = delivery.arrival;
+                t_mem = self.network.send(ctrl_core, home, MessageKind::Data, t_mem);
             }
             self.latency.llc_home_to_offchip += t_mem.since(t_home).value();
             t_home = t_mem;
@@ -1326,7 +1337,7 @@ impl Simulator {
         let mut other_sharers_present = false;
         if is_write {
             let outcome = {
-                let entry = self.home_entry_mut(home, line);
+                let entry = home_entry(&mut self.tiles, home, line);
                 entry.directory.handle_write(core)
             };
             other_sharers_present =
@@ -1342,7 +1353,7 @@ impl Simulator {
             self.latency.llc_home_to_sharers += sharer_latency.value();
             t_home += sharer_latency.value();
 
-            let entry = self.home_entry_mut(home, line);
+            let entry = home_entry(&mut self.tiles, home, line);
             for probe in &probes {
                 if let Some(reuse) = probe.replica_reuse {
                     entry.classifier.on_replica_invalidated(probe.target, reuse);
@@ -1362,7 +1373,7 @@ impl Simulator {
             grant_state = MesiState::Modified;
         } else {
             let outcome = {
-                let entry = self.home_entry_mut(home, line);
+                let entry = home_entry(&mut self.tiles, home, line);
                 entry.directory.handle_read(core)
             };
             if let Some(owner) = outcome.downgrade_owner {
@@ -1370,7 +1381,7 @@ impl Simulator {
                     let (probe, sharer_latency) = self.downgrade_owner(home, owner, line, t_home);
                     self.latency.llc_home_to_sharers += sharer_latency.value();
                     t_home += sharer_latency.value();
-                    let entry = self.home_entry_mut(home, line);
+                    let entry = home_entry(&mut self.tiles, home, line);
                     if probe.dirty {
                         entry.dirty = true;
                     }
@@ -1382,10 +1393,9 @@ impl Simulator {
         // Replication decision: the policy classifies the requester (and
         // trains any classifier state in the home entry); the engine only
         // materializes a replica when a distinct replica slice exists.
-        let policy = Arc::clone(&self.policy);
         let wants_replica = {
-            let entry = self.home_entry_mut(home, line);
-            policy.replicate_on_fill(FillDecision {
+            let entry = home_entry(&mut self.tiles, home, line);
+            self.policy.replicate_on_fill(FillDecision {
                 core,
                 is_write,
                 other_sharers_present,
@@ -1417,9 +1427,9 @@ impl Simulator {
         // Reply to the requester.
         let mut finish = t_home;
         if home != core {
-            let delivery = self.network.send(home, core, MessageKind::Data, finish);
-            request_and_reply += delivery.latency.value();
-            finish = delivery.arrival;
+            let arrival = self.network.send(home, core, MessageKind::Data, finish);
+            request_and_reply += arrival.since(finish).value();
+            finish = arrival;
         }
         self.latency.l1_to_llc_home += request_and_reply;
 
@@ -1438,24 +1448,14 @@ impl Simulator {
         (finish, grant_state, served_offchip)
     }
 
-    /// Returns the home entry for `line` at `home`, which must exist.
-    fn home_entry_mut(&mut self, home: CoreId, line: CacheLine) -> &mut HomeEntry {
-        self.tiles[home.index()]
-            .llc
-            .probe_mut(line)
-            .and_then(LlcEntry::as_home_mut)
-            .unwrap_or_else(|| {
-                violated(
-                    Invariant::HomeResidentDuringRequest,
-                    &format!("line {line:?} has no home entry at {home:?} mid-request"),
-                )
-            })
-    }
-
     /// Sends invalidations to `targets`, probing their L1 caches and LLC
     /// replicas.  Returns the probe results and the latency of the round
     /// (invalidations are sent in parallel; the home waits for the slowest
     /// acknowledgement).
+    ///
+    /// Every target is probed before any message is modelled: probes touch
+    /// only tile state and messages only link state, so the split changes
+    /// no result, and a broadcast round's cache lookups run back to back.
     fn invalidate_sharers(
         &mut self,
         home: CoreId,
@@ -1464,13 +1464,7 @@ impl Simulator {
         now: Cycle,
     ) -> (Vec<SharerProbe>, Cycle) {
         let mut probes = Vec::with_capacity(targets.len());
-        let mut max_latency = Cycle::ZERO;
         for &target in targets {
-            let mut arrival = now;
-            if target != home {
-                let delivery = self.network.send(home, target, MessageKind::Control, now);
-                arrival = delivery.arrival;
-            }
             // Probe both L1 caches and the LLC slice of the target.
             self.energy
                 .record(Component::L1D, self.energy_model.l1d_read_pj);
@@ -1497,23 +1491,29 @@ impl Simulator {
                     had_copy = true;
                 }
             }
-            let ack_kind = if dirty {
-                MessageKind::Data
-            } else {
-                MessageKind::Control
-            };
-            let back = if target != home {
-                self.network.send(target, home, ack_kind, arrival).arrival
-            } else {
-                arrival
-            };
-            max_latency = max_latency.max(back.since(now));
             probes.push(SharerProbe {
                 target,
                 replica_reuse,
                 had_copy,
                 dirty,
             });
+        }
+
+        let mut max_latency = Cycle::ZERO;
+        for probe in &probes {
+            if probe.target == home {
+                continue;
+            }
+            let arrival = self
+                .network
+                .send(home, probe.target, MessageKind::Control, now);
+            let ack_kind = if probe.dirty {
+                MessageKind::Data
+            } else {
+                MessageKind::Control
+            };
+            let back = self.network.send(probe.target, home, ack_kind, arrival);
+            max_latency = max_latency.max(back.since(now));
         }
         (probes, max_latency)
     }
@@ -1528,10 +1528,7 @@ impl Simulator {
     ) -> (SharerProbe, Cycle) {
         let mut arrival = now;
         if owner != home {
-            arrival = self
-                .network
-                .send(home, owner, MessageKind::Control, now)
-                .arrival;
+            arrival = self.network.send(home, owner, MessageKind::Control, now);
         }
         self.energy
             .record(Component::L1D, self.energy_model.l1d_read_pj);
@@ -1557,9 +1554,7 @@ impl Simulator {
             rep.dirty = false;
         }
         let back = if owner != home {
-            self.network
-                .send(owner, home, MessageKind::Data, arrival)
-                .arrival
+            self.network.send(owner, home, MessageKind::Data, arrival)
         } else {
             arrival
         };
@@ -1621,7 +1616,6 @@ impl Simulator {
         }
         let dirty = state.is_dirty();
         let home = self.home_map.home_for(line, core);
-        let policy = Arc::clone(&self.policy);
 
         // Merge into an existing entry in the local (or cluster) LLC slice.
         if let Some(rc) = self.replica_slice_for(core, line) {
@@ -1646,7 +1640,7 @@ impl Simulator {
                             .record(Component::L2Cache, self.energy_model.llc_data_write_pj);
                     }
                     entry.directory.handle_eviction(core);
-                    if policy.uses_classifier() {
+                    if self.policy.uses_classifier() {
                         entry.classifier.on_sharer_evicted(core);
                     }
                     self.energy
@@ -1659,7 +1653,7 @@ impl Simulator {
 
         // Eviction-driven replication (Victim Replication, ASR, customs):
         // ask the policy whether the victim becomes a replica.
-        if policy.replicates_on_eviction() {
+        if self.policy.replicates_on_eviction() {
             let replica_core = core;
             // victim_for is None when the set still has room (or the line is
             // somehow already resident).  The candidate is borrowed straight
@@ -1667,7 +1661,7 @@ impl Simulator {
             let candidate = self.tiles[replica_core.index()].llc.victim_for(line);
             let set_has_free_way = candidate.is_none();
             let class = *self.line_class.get(&line).unwrap_or(&DataClass::Private);
-            let install = policy.replicate_on_l1_evict(EvictDecision {
+            let install = self.policy.replicate_on_l1_evict(EvictDecision {
                 class,
                 set_has_free_way,
                 victim: candidate.map(|(_, entry)| entry),

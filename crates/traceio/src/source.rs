@@ -69,19 +69,59 @@ pub trait TraceSource {
     /// [`TraceSource::next_for_core`] in the same pass: the combined order
     /// is unspecified (no access is ever lost or duplicated, though).
     ///
-    /// The default drains cores in index order — correct for any source;
-    /// streaming sources override it with their native order.
+    /// A whole-trace pass calls this once per access, so it must not cost
+    /// more as cores drain: in-memory sources drain cores in index order
+    /// from the lowest core not yet drained, streaming sources serve their
+    /// native order.
     ///
     /// # Errors
     ///
     /// Source-specific decode or I/O failures.
-    fn next_access(&mut self) -> Result<Option<MemoryAccess>, TraceError> {
-        for core in 0..self.num_cores() {
-            if let Some(access) = self.next_for_core(CoreId::new(core))? {
-                return Ok(Some(access));
-            }
+    fn next_access(&mut self) -> Result<Option<MemoryAccess>, TraceError>;
+}
+
+/// Per-core read positions over an in-memory [`WorkloadTrace`], the cursor
+/// state [`MemorySource`] and [`GeneratorSource`] share.
+#[derive(Debug)]
+struct Cursors {
+    positions: Vec<usize>,
+    /// Every core below this one is drained, so a whole-trace pass resumes
+    /// here instead of rescanning them.
+    first_live: usize,
+}
+
+impl Cursors {
+    fn new(num_cores: usize) -> Self {
+        Cursors {
+            positions: vec![0; num_cores],
+            first_live: 0,
         }
-        Ok(None)
+    }
+
+    fn rewind(&mut self) {
+        self.positions.iter_mut().for_each(|p| *p = 0);
+        self.first_live = 0;
+    }
+
+    fn next_for_core(&mut self, trace: &WorkloadTrace, core: CoreId) -> Option<MemoryAccess> {
+        let position = &mut self.positions[core.index()];
+        let access = trace.core_stream(core).get(*position).copied();
+        if access.is_some() {
+            *position += 1;
+        }
+        access
+    }
+
+    /// Core-major order: the next access of the lowest core not yet drained.
+    fn next_access(&mut self, trace: &WorkloadTrace) -> Option<MemoryAccess> {
+        while self.first_live < self.positions.len() {
+            let access = self.next_for_core(trace, CoreId::new(self.first_live));
+            if access.is_some() {
+                return access;
+            }
+            self.first_live += 1;
+        }
+        None
     }
 }
 
@@ -89,14 +129,14 @@ pub trait TraceSource {
 #[derive(Debug)]
 pub struct MemorySource<'a> {
     trace: &'a WorkloadTrace,
-    cursors: Vec<usize>,
+    cursors: Cursors,
 }
 
 impl<'a> MemorySource<'a> {
     /// Wraps a trace; the first pass needs no explicit `rewind`.
     pub fn new(trace: &'a WorkloadTrace) -> Self {
         MemorySource {
-            cursors: vec![0; trace.num_cores()],
+            cursors: Cursors::new(trace.num_cores()),
             trace,
         }
     }
@@ -118,18 +158,16 @@ impl TraceSource for MemorySource<'_> {
     }
 
     fn rewind(&mut self) -> Result<(), TraceError> {
-        self.cursors.iter_mut().for_each(|c| *c = 0);
+        self.cursors.rewind();
         Ok(())
     }
 
     fn next_for_core(&mut self, core: CoreId) -> Result<Option<MemoryAccess>, TraceError> {
-        let stream = self.trace.core_stream(core);
-        let cursor = &mut self.cursors[core.index()];
-        let access = stream.get(*cursor).copied();
-        if access.is_some() {
-            *cursor += 1;
-        }
-        Ok(access)
+        Ok(self.cursors.next_for_core(self.trace, core))
+    }
+
+    fn next_access(&mut self) -> Result<Option<MemoryAccess>, TraceError> {
+        Ok(self.cursors.next_access(self.trace))
     }
 }
 
@@ -143,7 +181,7 @@ pub struct GeneratorSource {
     accesses_per_core: usize,
     seed: u64,
     trace: Option<WorkloadTrace>,
-    cursors: Vec<usize>,
+    cursors: Cursors,
 }
 
 impl GeneratorSource {
@@ -161,22 +199,17 @@ impl GeneratorSource {
             accesses_per_core,
             seed,
             trace: None,
-            cursors: vec![0; num_cores],
+            cursors: Cursors::new(num_cores),
         }
     }
 
-    fn trace(&mut self) -> &WorkloadTrace {
-        if self.trace.is_none() {
-            self.trace = Some(self.generator.generate(
-                self.num_cores,
-                self.accesses_per_core,
-                self.seed,
-            ));
-        }
-        match self.trace.as_ref() {
-            Some(trace) => trace,
-            None => unreachable!("just generated"),
-        }
+    /// The trace, generated on first use, and the cursors over it.
+    fn materialized(&mut self) -> (&WorkloadTrace, &mut Cursors) {
+        let trace = self.trace.get_or_insert_with(|| {
+            self.generator
+                .generate(self.num_cores, self.accesses_per_core, self.seed)
+        });
+        (trace, &mut self.cursors)
     }
 }
 
@@ -190,22 +223,18 @@ impl TraceSource for GeneratorSource {
     }
 
     fn rewind(&mut self) -> Result<(), TraceError> {
-        self.cursors.iter_mut().for_each(|c| *c = 0);
+        self.cursors.rewind();
         Ok(())
     }
 
     fn next_for_core(&mut self, core: CoreId) -> Result<Option<MemoryAccess>, TraceError> {
-        self.trace();
-        let Some(trace) = self.trace.as_ref() else {
-            unreachable!("materialized above");
-        };
-        let stream = trace.core_stream(core);
-        let cursor = &mut self.cursors[core.index()];
-        let access = stream.get(*cursor).copied();
-        if access.is_some() {
-            *cursor += 1;
-        }
-        Ok(access)
+        let (trace, cursors) = self.materialized();
+        Ok(cursors.next_for_core(trace, core))
+    }
+
+    fn next_access(&mut self) -> Result<Option<MemoryAccess>, TraceError> {
+        let (trace, cursors) = self.materialized();
+        Ok(cursors.next_access(trace))
     }
 }
 
@@ -222,6 +251,9 @@ pub struct ReaderSource<R: Read + Seek> {
     num_cores: usize,
     reader: Option<TraceReader<R>>,
     queues: Vec<VecDeque<MemoryAccess>>,
+    /// Accesses parked in `queues`, so a whole-trace pass scans them only
+    /// when one is waiting.
+    parked: usize,
     exhausted: bool,
 }
 
@@ -239,6 +271,7 @@ impl<R: Read + Seek> ReaderSource<R> {
             name: header.benchmark.clone(),
             num_cores: header.num_cores,
             queues: vec![VecDeque::new(); header.num_cores],
+            parked: 0,
             reader: Some(reader),
             exhausted: false,
         })
@@ -247,7 +280,7 @@ impl<R: Read + Seek> ReaderSource<R> {
     /// Accesses currently parked in per-core queues (exposed so tests can
     /// assert the skew bound of interleaved files).
     pub fn queued_accesses(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.parked
     }
 }
 
@@ -270,6 +303,7 @@ impl<R: Read + Seek> TraceSource for ReaderSource<R> {
         // Drop parked pre-rewind accesses up front so a failed seek cannot
         // leave them to be served against a half-restarted stream.
         self.queues.iter_mut().for_each(VecDeque::clear);
+        self.parked = 0;
         self.exhausted = false;
         let mut input = reader.into_inner();
         input.seek(SeekFrom::Start(0))?;
@@ -280,6 +314,7 @@ impl<R: Read + Seek> TraceSource for ReaderSource<R> {
     fn next_for_core(&mut self, core: CoreId) -> Result<Option<MemoryAccess>, TraceError> {
         loop {
             if let Some(access) = self.queues[core.index()].pop_front() {
+                self.parked -= 1;
                 return Ok(Some(access));
             }
             if self.exhausted {
@@ -289,7 +324,10 @@ impl<R: Read + Seek> TraceSource for ReaderSource<R> {
                 return Err(TraceError::SourcePoisoned);
             };
             match reader.next_access()? {
-                Some(access) => self.queues[access.core.index()].push_back(access),
+                Some(access) => {
+                    self.queues[access.core.index()].push_back(access);
+                    self.parked += 1;
+                }
                 None => self.exhausted = true,
             }
         }
@@ -301,8 +339,11 @@ impl<R: Read + Seek> TraceSource for ReaderSource<R> {
     fn next_access(&mut self) -> Result<Option<MemoryAccess>, TraceError> {
         // Serve anything a next_for_core call already parked first, so
         // mixed usage still yields every access exactly once.
-        if let Some(queue) = self.queues.iter_mut().find(|q| !q.is_empty()) {
-            return Ok(queue.pop_front());
+        if self.parked > 0 {
+            if let Some(queue) = self.queues.iter_mut().find(|q| !q.is_empty()) {
+                self.parked -= 1;
+                return Ok(queue.pop_front());
+            }
         }
         if self.exhausted {
             return Ok(None);
@@ -377,6 +418,80 @@ mod tests {
             out.push(access);
         }
         out
+    }
+
+    /// The same trace through each of the three sources.
+    fn every_source<'a>(trace: &'a WorkloadTrace, bytes: &[u8]) -> Vec<Box<dyn TraceSource + 'a>> {
+        vec![
+            Box::new(MemorySource::from(trace)),
+            Box::new(GeneratorSource::new(
+                TraceGenerator::new(Benchmark::Dedup.profile()),
+                4,
+                60,
+                11,
+            )),
+            Box::new(ReaderSource::new(std::io::Cursor::new(bytes.to_vec())).unwrap()),
+        ]
+    }
+
+    /// Drains `source` through `next_access`, grouping accesses by core.
+    fn drain_by_core(source: &mut dyn TraceSource) -> Vec<Vec<MemoryAccess>> {
+        let mut streams = vec![Vec::new(); source.num_cores()];
+        while let Some(access) = source.next_access().unwrap() {
+            streams[access.core.index()].push(access);
+        }
+        assert!(source.next_access().unwrap().is_none());
+        streams
+    }
+
+    #[test]
+    fn next_access_serves_the_rest_of_the_trace_after_next_for_core_calls() {
+        let trace = trace();
+        let bytes = encode_workload(&trace, 11).unwrap();
+        for core in 0..4 {
+            let stream = trace.core_stream(CoreId::new(core));
+            for k in [1, 7, stream.len() / 2, stream.len()] {
+                for mut source in every_source(&trace, &bytes) {
+                    for expected in &stream[..k] {
+                        let access = source.next_for_core(CoreId::new(core)).unwrap();
+                        assert_eq!(access.as_ref(), Some(expected));
+                    }
+                    let rest = drain_by_core(source.as_mut());
+                    for (c, served) in rest.iter().enumerate() {
+                        let skip = if c == core { k } else { 0 };
+                        assert_eq!(
+                            served.as_slice(),
+                            &trace.core_stream(CoreId::new(c))[skip..],
+                            "{}: core {c} after {k} next_for_core calls on core {core}",
+                            source.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rewind_restarts_a_pure_next_access_pass() {
+        let trace = trace();
+        let bytes = encode_workload(&trace, 11).unwrap();
+        let whole: Vec<&[MemoryAccess]> =
+            (0..4).map(|c| trace.core_stream(CoreId::new(c))).collect();
+        for mut source in every_source(&trace, &bytes) {
+            // Leave the source mid-trace, with both kinds of call.
+            source.next_for_core(CoreId::new(3)).unwrap();
+            source.next_access().unwrap();
+            source.rewind().unwrap();
+            assert_eq!(drain_by_core(source.as_mut()), whole);
+            source.rewind().unwrap();
+            assert_eq!(drain_by_core(source.as_mut()), whole);
+        }
+        // In-memory sources yield core-major order.
+        let core_major: Vec<MemoryAccess> = whole.concat();
+        let mut memory = MemorySource::from(&trace);
+        let served: Vec<MemoryAccess> =
+            std::iter::from_fn(|| memory.next_access().unwrap()).collect();
+        assert_eq!(served, core_major);
     }
 
     #[test]
