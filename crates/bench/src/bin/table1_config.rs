@@ -59,7 +59,7 @@ fn main() {
     println!(
         "{:<38} RT = {}, {:?} classifier, cluster size {}",
         "Locality-aware replication",
-        replication.replication_threshold,
+        replication.replication_threshold(),
         replication.classifier,
         replication.cluster_size
     );
@@ -116,7 +116,7 @@ fn main() {
             ),
             (
                 "replication_threshold",
-                JsonValue::from(replication.replication_threshold),
+                JsonValue::from(replication.replication_threshold()),
             ),
             (
                 "classifier",

@@ -217,7 +217,7 @@ impl Model {
             lines: config.lines,
             ackwise_pointers: config.ackwise_pointers,
             classifier: scheme.config.classifier,
-            rt: scheme.config.replication_threshold,
+            rt: scheme.config.replication_threshold(),
             mutant,
         }
     }

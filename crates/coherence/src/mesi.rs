@@ -38,20 +38,6 @@ impl MesiState {
         matches!(self, MesiState::Modified)
     }
 
-    /// State after the local core writes the line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is not writable locally; the protocol must have
-    /// obtained exclusive permission first.
-    pub fn after_local_write(self) -> MesiState {
-        assert!(
-            self.can_write_locally(),
-            "write requires M or E state, had {self}"
-        );
-        MesiState::Modified
-    }
-
     /// State after receiving a downgrade request (another core wants to
     /// read): M/E fall to S, S and I are unchanged.
     pub fn after_downgrade(self) -> MesiState {
@@ -109,21 +95,6 @@ mod tests {
 
         assert!(MesiState::Modified.is_dirty());
         assert!(!MesiState::Exclusive.is_dirty());
-    }
-
-    #[test]
-    fn write_transition() {
-        assert_eq!(
-            MesiState::Exclusive.after_local_write(),
-            MesiState::Modified
-        );
-        assert_eq!(MesiState::Modified.after_local_write(), MesiState::Modified);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires M or E")]
-    fn write_from_shared_panics() {
-        let _ = MesiState::Shared.after_local_write();
     }
 
     #[test]

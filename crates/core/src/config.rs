@@ -1,59 +1,63 @@
-//! Configuration of the LLC management scheme under evaluation.
+//! Configuration of the LLC management scheme under evaluation: which
+//! scheme runs (a [`SchemeId`], which carries RT and the ASR level) and the
+//! engine knobs it runs with.
 
 use lad_cache::llc_slice::LlcReplacementPolicy;
 
 use crate::classifier::ClassifierKind;
-use crate::scheme::{SchemeId, SchemeKind};
+use crate::scheme::SchemeId;
 
 /// Every knob of the replication layer, bundled for an experiment run.
 ///
-/// Use the per-scheme constructors ([`ReplicationConfig::locality_aware`],
+/// Use [`ReplicationConfig::of`] or the per-scheme constructors
+/// ([`ReplicationConfig::locality_aware`],
 /// [`ReplicationConfig::static_nuca`], ...) and the `with_*` builder methods
 /// for variations:
 ///
 /// ```
 /// use lad_replication::config::ReplicationConfig;
 /// use lad_replication::classifier::ClassifierKind;
+/// use lad_replication::scheme::SchemeId;
 ///
 /// let rt3 = ReplicationConfig::locality_aware(3);
-/// assert_eq!(rt3.replication_threshold, 3);
+/// assert_eq!(rt3.scheme, SchemeId::Rt(3));
+/// assert_eq!(rt3.replication_threshold(), 3);
 ///
 /// let sweep = rt3.clone().with_classifier(ClassifierKind::Limited(5)).with_cluster_size(4);
-/// assert_eq!(sweep.cluster_size, 4);
+/// assert_eq!(sweep.label(), "RT-3/C-4");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicationConfig {
-    /// Which LLC management scheme to run.
-    pub scheme: SchemeKind,
-    /// The replication threshold RT of the locality-aware protocol
-    /// (ignored by the baselines).  The paper's optimum is 3.
-    pub replication_threshold: u32,
+    /// Which LLC management scheme to run.  [`SchemeId::Rt`] carries the
+    /// locality-aware protocol's replication threshold and
+    /// [`SchemeId::AsrAt`] ASR's replication level.
+    pub scheme: SchemeId,
     /// Classifier organization (Complete or Limited_k).
     pub classifier: ClassifierKind,
     /// Cluster size for cluster-level replication (Section 2.3.4): at most
     /// one replica per cluster of this many cores.  1 (the paper's choice)
     /// replicates at the requesting core itself.
     pub cluster_size: usize,
-    /// ASR replication level: the probability that an eligible L1 victim is
-    /// replicated.  The paper sweeps {0, 0.25, 0.5, 0.75, 1}.
-    pub asr_level: f64,
     /// LLC victim-selection policy (the paper's sharer-aware modified LRU by
     /// default; plain LRU for the Section 4.2 comparison).
     pub llc_replacement: LlcReplacementPolicy,
 }
 
 impl ReplicationConfig {
-    /// The locality-aware protocol with replication threshold `rt` and the
-    /// paper's default Limited₃ classifier.
-    pub fn locality_aware(rt: u32) -> Self {
+    /// `scheme` with the paper's knobs: the Limited₃ classifier, cluster
+    /// size 1 and sharer-aware LRU replacement.
+    pub fn of(scheme: SchemeId) -> Self {
         ReplicationConfig {
-            scheme: SchemeKind::LocalityAware,
-            replication_threshold: rt,
+            scheme,
             classifier: ClassifierKind::paper_default(),
             cluster_size: 1,
-            asr_level: 0.0,
             llc_replacement: LlcReplacementPolicy::SharerAwareLru,
         }
+    }
+
+    /// The locality-aware protocol with replication threshold `rt`.
+    pub fn locality_aware(rt: u32) -> Self {
+        Self::of(SchemeId::Rt(rt))
     }
 
     /// The paper's headline configuration: RT-3, Limited₃, cluster size 1.
@@ -63,47 +67,23 @@ impl ReplicationConfig {
 
     /// The Static-NUCA baseline.
     pub fn static_nuca() -> Self {
-        ReplicationConfig {
-            scheme: SchemeKind::StaticNuca,
-            ..Self::baseline_defaults()
-        }
+        Self::of(SchemeId::StaticNuca)
     }
 
     /// The Reactive-NUCA baseline.
     pub fn reactive_nuca() -> Self {
-        ReplicationConfig {
-            scheme: SchemeKind::ReactiveNuca,
-            ..Self::baseline_defaults()
-        }
+        Self::of(SchemeId::ReactiveNuca)
     }
 
     /// The Victim Replication baseline.
     pub fn victim_replication() -> Self {
-        ReplicationConfig {
-            scheme: SchemeKind::VictimReplication,
-            ..Self::baseline_defaults()
-        }
+        Self::of(SchemeId::VictimReplication)
     }
 
-    /// The Adaptive Selective Replication baseline at a given replication
-    /// level in `[0, 1]`.
+    /// The Adaptive Selective Replication baseline at a replication level
+    /// in `[0, 1]`, kept to the hundredths its label shows.
     pub fn asr(level: f64) -> Self {
-        ReplicationConfig {
-            scheme: SchemeKind::AdaptiveSelectiveReplication,
-            asr_level: level.clamp(0.0, 1.0),
-            ..Self::baseline_defaults()
-        }
-    }
-
-    fn baseline_defaults() -> Self {
-        ReplicationConfig {
-            scheme: SchemeKind::StaticNuca,
-            replication_threshold: 3,
-            classifier: ClassifierKind::paper_default(),
-            cluster_size: 1,
-            asr_level: 0.0,
-            llc_replacement: LlcReplacementPolicy::SharerAwareLru,
-        }
+        Self::of(SchemeId::asr_at_level(level))
     }
 
     /// Sets the classifier organization (builder style).
@@ -124,43 +104,24 @@ impl ReplicationConfig {
         self
     }
 
-    /// The typed identifier of this configuration in experiment matrices
-    /// and comparisons: the scheme family plus its *primary* sweep
-    /// parameter (`SchemeId::AsrAt` for the ASR level, `SchemeId::Rt` for
-    /// the replication threshold).
-    ///
-    /// Secondary knobs (cluster size, classifier organization, LLC
-    /// replacement) are *not* part of the id — `RT-3` and `RT-3/C-16` both
-    /// map to `SchemeId::Rt(3)`.  Sweeps over those knobs either run
-    /// ad hoc (`ExperimentRunner::run_one`, the way Figures 9 and 10 do) or
-    /// register each variant under a distinct `SchemeId::Custom` name.
-    pub fn scheme_id(&self) -> SchemeId {
+    /// The replication threshold RT the classifiers and replica reuse
+    /// counters run at: `k` for [`SchemeId::Rt`]`(k)`, and the paper's
+    /// optimum 3 for every other scheme (which ignores it).
+    pub fn replication_threshold(&self) -> u32 {
         match self.scheme {
-            SchemeKind::StaticNuca => SchemeId::StaticNuca,
-            SchemeKind::ReactiveNuca => SchemeId::ReactiveNuca,
-            SchemeKind::VictimReplication => SchemeId::VictimReplication,
-            SchemeKind::AdaptiveSelectiveReplication => SchemeId::asr_at_level(self.asr_level),
-            SchemeKind::LocalityAware => SchemeId::Rt(self.replication_threshold),
+            SchemeId::Rt(rt) => rt,
+            _ => 3,
         }
     }
 
-    /// A short, unique label for reports: `S-NUCA`, `R-NUCA`, `VR`,
-    /// `ASR-0.50`, `RT-3`, `RT-3/C-4`, ...
+    /// A short, unique label for reports: the scheme's label (`S-NUCA`,
+    /// `ASR-0.50`, `RT-3`, ...), with a `/C-k` suffix at cluster size
+    /// k > 1 (`RT-3/C-4`).
     pub fn label(&self) -> String {
-        match self.scheme {
-            SchemeKind::StaticNuca | SchemeKind::ReactiveNuca | SchemeKind::VictimReplication => {
-                self.scheme.label().to_string()
-            }
-            SchemeKind::AdaptiveSelectiveReplication => {
-                format!("ASR-{:.2}", self.asr_level)
-            }
-            SchemeKind::LocalityAware => {
-                if self.cluster_size > 1 {
-                    format!("RT-{}/C-{}", self.replication_threshold, self.cluster_size)
-                } else {
-                    format!("RT-{}", self.replication_threshold)
-                }
-            }
+        if self.cluster_size > 1 {
+            format!("{}/C-{}", self.scheme, self.cluster_size)
+        } else {
+            self.scheme.label()
         }
     }
 
@@ -170,7 +131,7 @@ impl ReplicationConfig {
     ///
     /// Returns a human-readable description of the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.replication_threshold == 0 {
+        if self.replication_threshold() == 0 {
             return Err("replication threshold must be at least 1".to_string());
         }
         if self.cluster_size == 0 {
@@ -179,7 +140,7 @@ impl ReplicationConfig {
         if let ClassifierKind::Limited(0) = self.classifier {
             return Err("limited classifier must track at least one core".to_string());
         }
-        if !(0.0..=1.0).contains(&self.asr_level) {
+        if matches!(self.scheme, SchemeId::AsrAt(level) if level > 100) {
             return Err("ASR level must lie in [0, 1]".to_string());
         }
         Ok(())
@@ -200,66 +161,59 @@ mod tests {
     fn constructors_set_scheme() {
         assert_eq!(
             ReplicationConfig::static_nuca().scheme,
-            SchemeKind::StaticNuca
+            SchemeId::StaticNuca
         );
         assert_eq!(
             ReplicationConfig::reactive_nuca().scheme,
-            SchemeKind::ReactiveNuca
+            SchemeId::ReactiveNuca
         );
         assert_eq!(
             ReplicationConfig::victim_replication().scheme,
-            SchemeKind::VictimReplication
+            SchemeId::VictimReplication
         );
-        assert_eq!(
-            ReplicationConfig::asr(0.5).scheme,
-            SchemeKind::AdaptiveSelectiveReplication
-        );
-        assert_eq!(
-            ReplicationConfig::locality_aware(3).scheme,
-            SchemeKind::LocalityAware
-        );
+        assert_eq!(ReplicationConfig::asr(0.5).scheme, SchemeId::AsrAt(50));
+        assert_eq!(ReplicationConfig::locality_aware(3).scheme, SchemeId::Rt(3));
         assert_eq!(
             ReplicationConfig::default(),
             ReplicationConfig::paper_default()
         );
+        for id in SchemeId::BUILTIN {
+            let config = ReplicationConfig::of(id);
+            assert_eq!(config.scheme, id);
+            assert_eq!(config.classifier, ClassifierKind::paper_default());
+            assert_eq!(config.cluster_size, 1);
+            assert_eq!(config.llc_replacement, LlcReplacementPolicy::SharerAwareLru);
+        }
     }
 
     #[test]
     fn scheme_ids_carry_the_sweep_parameter() {
+        assert_eq!(ReplicationConfig::asr(0.25).scheme, SchemeId::AsrAt(25));
         assert_eq!(
-            ReplicationConfig::static_nuca().scheme_id(),
-            SchemeId::StaticNuca
+            ReplicationConfig::locality_aware(8).replication_threshold(),
+            8
         );
-        assert_eq!(
-            ReplicationConfig::reactive_nuca().scheme_id(),
-            SchemeId::ReactiveNuca
-        );
-        assert_eq!(
-            ReplicationConfig::victim_replication().scheme_id(),
-            SchemeId::VictimReplication
-        );
-        assert_eq!(
-            ReplicationConfig::asr(0.25).scheme_id(),
-            SchemeId::AsrAt(25)
-        );
-        assert_eq!(
-            ReplicationConfig::locality_aware(8).scheme_id(),
-            SchemeId::Rt(8)
-        );
-        // The id label agrees with the report label (cluster size 1).
-        for config in [
-            ReplicationConfig::static_nuca(),
-            ReplicationConfig::asr(0.5),
-            ReplicationConfig::locality_aware(3),
+        // Every other scheme runs its classifiers at the paper's RT.
+        for id in [
+            SchemeId::StaticNuca,
+            SchemeId::VictimReplication,
+            SchemeId::AsrAt(50),
+            SchemeId::Custom("ALWAYS"),
         ] {
-            assert_eq!(config.scheme_id().label(), config.label());
+            assert_eq!(ReplicationConfig::of(id).replication_threshold(), 3);
+        }
+        // The report label is the id's label (cluster size 1).
+        for id in SchemeId::BUILTIN {
+            assert_eq!(ReplicationConfig::of(id).label(), id.label());
         }
     }
 
     #[test]
     fn asr_level_is_clamped() {
-        assert_eq!(ReplicationConfig::asr(2.0).asr_level, 1.0);
-        assert_eq!(ReplicationConfig::asr(-1.0).asr_level, 0.0);
+        assert_eq!(ReplicationConfig::asr(2.0).scheme, SchemeId::AsrAt(100));
+        assert_eq!(ReplicationConfig::asr(-1.0).scheme, SchemeId::AsrAt(0));
+        // A finer level runs at the hundredths its label shows.
+        assert_eq!(ReplicationConfig::asr(0.333).scheme, SchemeId::AsrAt(33));
     }
 
     #[test]
@@ -276,6 +230,12 @@ mod tests {
                 .label(),
             "RT-3/C-16"
         );
+        assert_eq!(
+            ReplicationConfig::static_nuca()
+                .with_cluster_size(4)
+                .label(),
+            "S-NUCA/C-4"
+        );
     }
 
     #[test]
@@ -286,7 +246,7 @@ mod tests {
             .with_llc_replacement(LlcReplacementPolicy::PlainLru);
         assert_eq!(config.classifier, ClassifierKind::Complete);
         assert_eq!(config.cluster_size, 4);
-        assert_eq!(config.replication_threshold, 5);
+        assert_eq!(config.replication_threshold(), 5);
         assert_eq!(config.llc_replacement, LlcReplacementPolicy::PlainLru);
         config.validate().unwrap();
 
@@ -298,17 +258,18 @@ mod tests {
             1
         );
 
-        let mut bad = ReplicationConfig::paper_default();
-        bad.replication_threshold = 0;
-        assert!(bad.validate().is_err());
+        assert!(ReplicationConfig::locality_aware(0).validate().is_err());
         let mut bad = ReplicationConfig::paper_default();
         bad.cluster_size = 0;
         assert!(bad.validate().is_err());
         let mut bad = ReplicationConfig::paper_default();
         bad.classifier = ClassifierKind::Limited(0);
         assert!(bad.validate().is_err());
-        let mut bad = ReplicationConfig::paper_default();
-        bad.asr_level = 3.0;
-        assert!(bad.validate().is_err());
+        ReplicationConfig::of(SchemeId::AsrAt(100))
+            .validate()
+            .unwrap();
+        assert!(ReplicationConfig::of(SchemeId::AsrAt(101))
+            .validate()
+            .is_err());
     }
 }

@@ -16,11 +16,13 @@
 //!   [`uses_classifier`](ReplicationPolicy::uses_classifier), ...) — which
 //!   protocol paths and energy events the scheme enables.
 //!
-//! The five schemes of the paper's evaluation are provided as built-in
-//! policies; out-of-crate schemes implement the trait and register under a
-//! [`SchemeId::Custom`] id in a [`SchemeRegistry`], after which the
-//! experiment runner can sweep them exactly like the built-ins — without any
-//! change to the timing engine.
+//! The five schemes of the paper's evaluation are built-in policies, one
+//! struct per family, each holding its own placement and decision rule;
+//! [`builtin_policy`] builds one from its [`SchemeId`], and
+//! [`SchemeRegistry::builtin`] registers every id of [`SchemeId::BUILTIN`].
+//! Out-of-crate schemes implement the trait and register under a
+//! [`SchemeId::Custom`] id, after which the experiment runner can sweep them
+//! exactly like the built-ins — without any change to the timing engine.
 //!
 //! # Example: a toy always-replicate policy
 //!
@@ -63,6 +65,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use lad_cache::replacement::SharerCount;
 use lad_common::rng::DeterministicRng;
 use lad_common::types::{CoreId, DataClass};
 
@@ -70,8 +73,7 @@ use crate::classifier::{LocalityClassifier, ReplicationMode};
 use crate::config::ReplicationConfig;
 use crate::entry::LlcEntry;
 use crate::placement::PlacementPolicy;
-use crate::policies::{AsrPolicy, VictimReplicationPolicy};
-use crate::scheme::{SchemeId, SchemeKind, UnknownScheme};
+use crate::scheme::{SchemeId, UnknownScheme};
 
 /// Everything a policy may consult when the home slice decides whether to
 /// install a replica at the requester's slice after serving an L1 miss.
@@ -177,7 +179,7 @@ impl ReplicationPolicy for StaticNucaScheme {
         SchemeId::StaticNuca
     }
     fn placement(&self) -> PlacementPolicy {
-        SchemeKind::StaticNuca.placement_policy()
+        PlacementPolicy::AddressInterleaved
     }
     fn replicates(&self) -> bool {
         false
@@ -190,8 +192,8 @@ impl ReplicationPolicy for StaticNucaScheme {
     }
 }
 
-/// Reactive-NUCA: page-grain placement with cluster-replicated instructions;
-/// no LLC data replication.
+/// Reactive-NUCA: page-grain placement with instructions replicated per
+/// 4-core cluster; no LLC data replication.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReactiveNucaScheme;
 
@@ -200,7 +202,9 @@ impl ReplicationPolicy for ReactiveNucaScheme {
         SchemeId::ReactiveNuca
     }
     fn placement(&self) -> PlacementPolicy {
-        SchemeKind::ReactiveNuca.placement_policy()
+        PlacementPolicy::Rnuca {
+            instruction_cluster: 4,
+        }
     }
     fn replicates(&self) -> bool {
         false
@@ -213,8 +217,10 @@ impl ReplicationPolicy for ReactiveNucaScheme {
     }
 }
 
-/// Victim Replication: the local LLC slice acts as a victim cache for L1
-/// evictions; replica hits move the line back into the L1.
+/// Victim Replication (Zhang & Asanović), modelled on Static-NUCA
+/// placement: the local LLC slice acts as a victim cache for L1 evictions,
+/// and replica hits move the line back into the L1.  It never consults
+/// reuse, which is the LLC pollution the paper criticises.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VictimReplicationScheme;
 
@@ -223,7 +229,7 @@ impl ReplicationPolicy for VictimReplicationScheme {
         SchemeId::VictimReplication
     }
     fn placement(&self) -> PlacementPolicy {
-        SchemeKind::VictimReplication.placement_policy()
+        PlacementPolicy::AddressInterleaved
     }
     fn replicates(&self) -> bool {
         true
@@ -237,37 +243,41 @@ impl ReplicationPolicy for VictimReplicationScheme {
     fn replicate_on_fill(&self, _: FillDecision<'_>) -> bool {
         false
     }
+    /// Inserts the victim only into a "cheap" slot: an invalid way, or in
+    /// place of a replica or of a home line no L1 shares.  "Global" (hot,
+    /// shared) home lines are never displaced.
     fn replicate_on_l1_evict(&self, decision: EvictDecision<'_>) -> bool {
-        VictimReplicationPolicy.should_insert_victim(decision.set_has_free_way, decision.victim)
+        decision.set_has_free_way
+            || decision
+                .victim
+                .is_some_and(|entry| entry.is_replica() || entry.l1_sharer_count() == 0)
     }
 }
 
-/// Adaptive Selective Replication at one fixed replication level.
+/// Adaptive Selective Replication (Beckmann et al.) at one fixed
+/// replication level, modelled on Static-NUCA placement.  The paper does
+/// not model ASR's monitoring circuits: it sweeps the level over
+/// {0, 0.25, 0.5, 0.75, 1} and reports the best energy-delay product per
+/// benchmark, which is what the experiment harness does too.
 #[derive(Debug, Clone, Copy)]
 pub struct AsrScheme {
-    policy: AsrPolicy,
+    hundredths: u8,
 }
 
 impl AsrScheme {
-    /// Creates the scheme at a replication level in `[0, 1]`.
-    pub fn new(level: f64) -> Self {
-        AsrScheme {
-            policy: AsrPolicy::new(level),
-        }
-    }
-
-    /// The replication level.
-    pub fn level(&self) -> f64 {
-        self.policy.level()
+    /// Creates the scheme at a replication level in hundredths (`50` is
+    /// level 0.50), the unit [`SchemeId::AsrAt`] carries.
+    pub fn new(hundredths: u8) -> Self {
+        AsrScheme { hundredths }
     }
 }
 
 impl ReplicationPolicy for AsrScheme {
     fn id(&self) -> SchemeId {
-        SchemeId::asr_at_level(self.policy.level())
+        SchemeId::AsrAt(self.hundredths)
     }
     fn placement(&self) -> PlacementPolicy {
-        SchemeKind::AdaptiveSelectiveReplication.placement_policy()
+        PlacementPolicy::AddressInterleaved
     }
     fn replicates(&self) -> bool {
         true
@@ -278,26 +288,30 @@ impl ReplicationPolicy for AsrScheme {
     fn replicate_on_fill(&self, _: FillDecision<'_>) -> bool {
         false
     }
+    /// Replicates only instructions and shared read-only data, each with
+    /// probability equal to the replication level.  ASR recognises shared
+    /// read-only lines by a per-line sticky Shared bit; the reproduction
+    /// uses the workload's ground-truth class instead.
     fn replicate_on_l1_evict(&self, decision: EvictDecision<'_>) -> bool {
-        self.policy.should_replicate(decision.class, decision.rng)
+        matches!(
+            decision.class,
+            DataClass::Instruction | DataClass::SharedReadOnly
+        ) && decision.rng.chance(f64::from(self.hundredths) / 100.0)
     }
 }
 
-/// The paper's locality-aware protocol at one replication threshold.
+/// The paper's locality-aware protocol at one replication threshold.  It
+/// reuses R-NUCA's data placement but replicates instructions through its
+/// own classifier.
 #[derive(Debug, Clone, Copy)]
 pub struct LocalityAwareScheme {
     rt: u32,
 }
 
 impl LocalityAwareScheme {
-    /// Creates the scheme at replication threshold `rt` (≥ 1).
+    /// Creates the scheme at replication threshold `rt`.
     pub fn new(rt: u32) -> Self {
-        LocalityAwareScheme { rt: rt.max(1) }
-    }
-
-    /// The replication threshold.
-    pub fn replication_threshold(&self) -> u32 {
-        self.rt
+        LocalityAwareScheme { rt }
     }
 }
 
@@ -306,7 +320,7 @@ impl ReplicationPolicy for LocalityAwareScheme {
         SchemeId::Rt(self.rt)
     }
     fn placement(&self) -> PlacementPolicy {
-        SchemeKind::LocalityAware.placement_policy()
+        PlacementPolicy::RnucaDataOnly
     }
     fn replicates(&self) -> bool {
         true
@@ -334,24 +348,27 @@ impl ReplicationPolicy for LocalityAwareScheme {
     }
 }
 
-/// Builds the built-in policy implementing `config.scheme`.
-pub fn builtin_policy(config: &ReplicationConfig) -> Arc<dyn ReplicationPolicy> {
-    match config.scheme {
-        SchemeKind::StaticNuca => Arc::new(StaticNucaScheme),
-        SchemeKind::ReactiveNuca => Arc::new(ReactiveNucaScheme),
-        SchemeKind::VictimReplication => Arc::new(VictimReplicationScheme),
-        SchemeKind::AdaptiveSelectiveReplication => Arc::new(AsrScheme::new(config.asr_level)),
-        SchemeKind::LocalityAware => {
-            Arc::new(LocalityAwareScheme::new(config.replication_threshold))
-        }
-    }
+/// The built-in policy of `scheme`, or `None` for the collapsed
+/// [`SchemeId::Asr`] comparison column (runs use [`SchemeId::AsrAt`]) and
+/// for [`SchemeId::Custom`] ids.
+pub fn builtin_policy(scheme: SchemeId) -> Option<Arc<dyn ReplicationPolicy>> {
+    let policy: Arc<dyn ReplicationPolicy> = match scheme {
+        SchemeId::StaticNuca => Arc::new(StaticNucaScheme),
+        SchemeId::ReactiveNuca => Arc::new(ReactiveNucaScheme),
+        SchemeId::VictimReplication => Arc::new(VictimReplicationScheme),
+        SchemeId::AsrAt(hundredths) => Arc::new(AsrScheme::new(hundredths)),
+        SchemeId::Rt(rt) => Arc::new(LocalityAwareScheme::new(rt)),
+        SchemeId::Asr | SchemeId::Custom(_) => return None,
+    };
+    Some(policy)
 }
 
 // ----- registry ------------------------------------------------------------
 
 /// One runnable scheme: the decision policy plus the configuration knobs
-/// (replication threshold, classifier organization, cluster size, LLC
-/// replacement) the engine builds its structures from.
+/// (classifier organization, cluster size, LLC replacement) the engine
+/// builds its structures from.  A registered config's `scheme` is its
+/// policy's id, so the engine's replication threshold follows that id.
 #[derive(Debug, Clone)]
 pub struct RegisteredScheme {
     /// The replication-decision policy.
@@ -376,30 +393,23 @@ impl SchemeRegistry {
         Self::default()
     }
 
-    /// A registry pre-populated with every built-in configuration of the
-    /// paper's evaluation: `S-NUCA`, `R-NUCA`, `VR`, the five ASR levels
-    /// (`ASR-0.00` … `ASR-1.00`) and `RT-1`, `RT-3`, `RT-8`.
+    /// A registry holding every scheme of [`SchemeId::BUILTIN`] with its
+    /// built-in policy and the paper's knobs: `S-NUCA`, `R-NUCA`, `VR`,
+    /// `RT-1`, `RT-3`, `RT-8` and the five ASR levels (`ASR-0.00` …
+    /// `ASR-1.00`).
     pub fn builtin() -> Self {
         let mut registry = SchemeRegistry::new();
-        let mut configs = vec![
-            ReplicationConfig::static_nuca(),
-            ReplicationConfig::reactive_nuca(),
-            ReplicationConfig::victim_replication(),
-            ReplicationConfig::locality_aware(1),
-            ReplicationConfig::locality_aware(3),
-            ReplicationConfig::locality_aware(8),
-        ];
-        for level in AsrPolicy::LEVELS {
-            configs.push(ReplicationConfig::asr(level));
-        }
-        for config in configs {
-            registry.register(builtin_policy(&config), config);
+        for policy in SchemeId::BUILTIN.into_iter().filter_map(builtin_policy) {
+            registry.register(policy, ReplicationConfig::default());
         }
         registry
     }
 
     /// Registers `policy` under its [`ReplicationPolicy::id`], replacing and
-    /// returning any previous entry with the same id.
+    /// returning any previous entry with the same id.  The stored config
+    /// keeps `config`'s knobs with its `scheme` set to that id, so an entry
+    /// names one scheme: a custom id runs its classifiers and replica reuse
+    /// counters at the default RT of 3.
     ///
     /// The id is the whole key: two variants of one scheme family (say
     /// RT-3 at cluster sizes 1 and 16, both `SchemeId::Rt(3)`) would
@@ -411,6 +421,10 @@ impl SchemeRegistry {
         config: ReplicationConfig,
     ) -> Option<RegisteredScheme> {
         let id = policy.id();
+        let config = ReplicationConfig {
+            scheme: id,
+            ..config
+        };
         self.entries.insert(id, RegisteredScheme { policy, config })
     }
 
@@ -425,24 +439,9 @@ impl SchemeRegistry {
             .ok_or_else(|| UnknownScheme::new(id, "registry"))
     }
 
-    /// `true` if `id` is registered.
-    pub fn contains(&self, id: SchemeId) -> bool {
-        self.entries.contains_key(&id)
-    }
-
     /// The registered ids, in [`SchemeId`] order.
     pub fn ids(&self) -> impl Iterator<Item = SchemeId> + '_ {
         self.entries.keys().copied()
-    }
-
-    /// Number of registered schemes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -465,50 +464,40 @@ mod tests {
 
     #[test]
     fn builtin_ids_and_capabilities_match_the_schemes() {
+        // Placement and the two replication flags of every built-in id are
+        // checked in `scheme`'s tests.
         assert_eq!(StaticNucaScheme.id(), SchemeId::StaticNuca);
-        assert!(!StaticNucaScheme.replicates());
         assert_eq!(ReactiveNucaScheme.id(), SchemeId::ReactiveNuca);
-        assert!(!ReactiveNucaScheme.replicates());
 
         let vr = VictimReplicationScheme;
         assert_eq!(vr.id(), SchemeId::VictimReplication);
-        assert!(vr.replicates() && vr.replicates_on_eviction() && vr.invalidate_replica_on_hit());
-        assert!(!vr.uses_classifier());
+        assert!(vr.invalidate_replica_on_hit() && !vr.uses_classifier());
 
-        let asr = AsrScheme::new(0.75);
+        let asr = AsrScheme::new(75);
         assert_eq!(asr.id(), SchemeId::AsrAt(75));
-        assert!((asr.level() - 0.75).abs() < 1e-12);
-        assert!(asr.replicates_on_eviction() && !asr.invalidate_replica_on_hit());
+        assert!(!asr.invalidate_replica_on_hit() && !asr.uses_classifier());
 
         let rt = LocalityAwareScheme::new(3);
         assert_eq!(rt.id(), SchemeId::Rt(3));
-        assert_eq!(rt.replication_threshold(), 3);
-        assert!(rt.uses_classifier() && !rt.replicates_on_eviction());
-        // The rt floor keeps the policy valid.
-        assert_eq!(LocalityAwareScheme::new(0).replication_threshold(), 1);
+        assert!(rt.uses_classifier() && !rt.invalidate_replica_on_hit());
     }
 
     #[test]
     fn builtin_policy_follows_the_config() {
-        for (config, id) in [
-            (ReplicationConfig::static_nuca(), SchemeId::StaticNuca),
-            (ReplicationConfig::reactive_nuca(), SchemeId::ReactiveNuca),
-            (
-                ReplicationConfig::victim_replication(),
-                SchemeId::VictimReplication,
-            ),
-            (ReplicationConfig::asr(0.25), SchemeId::AsrAt(25)),
-            (ReplicationConfig::locality_aware(8), SchemeId::Rt(8)),
+        for config in [
+            ReplicationConfig::static_nuca(),
+            ReplicationConfig::reactive_nuca(),
+            ReplicationConfig::victim_replication(),
+            ReplicationConfig::asr(0.25),
+            ReplicationConfig::locality_aware(8),
         ] {
-            let policy = builtin_policy(&config);
-            assert_eq!(policy.id(), id);
-            assert_eq!(policy.placement(), config.scheme.placement_policy());
-            assert_eq!(policy.replicates(), config.scheme.replicates());
-            assert_eq!(
-                policy.replicates_on_eviction(),
-                config.scheme.replicates_on_eviction()
-            );
+            let policy = builtin_policy(config.scheme)
+                .unwrap_or_else(|| panic!("{} has a built-in policy", config.scheme));
+            assert_eq!(policy.id(), config.scheme);
         }
+        // The collapsed ASR column and custom ids have none.
+        assert!(builtin_policy(SchemeId::Asr).is_none());
+        assert!(builtin_policy(SchemeId::Custom("ALWAYS")).is_none());
     }
 
     #[test]
@@ -545,7 +534,7 @@ mod tests {
     #[test]
     fn asr_evict_decision_respects_class_and_level() {
         let mut rng = DeterministicRng::seed_from(7);
-        let always = AsrScheme::new(1.0);
+        let always = AsrScheme::new(100);
         assert!(always.replicate_on_l1_evict(EvictDecision {
             class: DataClass::SharedReadOnly,
             set_has_free_way: true,
@@ -558,7 +547,7 @@ mod tests {
             victim: None,
             rng: &mut rng,
         }));
-        let never = AsrScheme::new(0.0);
+        let never = AsrScheme::new(0);
         assert!(!never.replicate_on_l1_evict(EvictDecision {
             class: DataClass::SharedReadOnly,
             set_has_free_way: true,
@@ -570,30 +559,20 @@ mod tests {
     #[test]
     fn registry_builtin_covers_the_paper_sweep() {
         let registry = SchemeRegistry::builtin();
-        for id in [
-            SchemeId::StaticNuca,
-            SchemeId::ReactiveNuca,
-            SchemeId::VictimReplication,
-            SchemeId::AsrAt(0),
-            SchemeId::AsrAt(25),
-            SchemeId::AsrAt(50),
-            SchemeId::AsrAt(75),
-            SchemeId::AsrAt(100),
-            SchemeId::Rt(1),
-            SchemeId::Rt(3),
-            SchemeId::Rt(8),
-        ] {
+        let mut sorted = SchemeId::BUILTIN;
+        sorted.sort();
+        assert_eq!(registry.ids().collect::<Vec<_>>(), sorted);
+        for id in SchemeId::BUILTIN {
             let entry = registry.get(id).unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(entry.policy.id(), id);
+            assert_eq!(entry.config, ReplicationConfig::of(id));
         }
-        assert_eq!(registry.len(), 11);
-        assert!(!registry.is_empty());
         // The collapsed ASR column and unregistered customs are errors.
         assert_eq!(
             registry.get(SchemeId::Asr).unwrap_err(),
             UnknownScheme::new(SchemeId::Asr, "registry")
         );
-        assert!(!registry.contains(SchemeId::Custom("NOPE")));
+        assert!(registry.get(SchemeId::Custom("NOPE")).is_err());
     }
 
     #[test]
@@ -622,10 +601,22 @@ mod tests {
         assert!(registry
             .register(Arc::new(Always), ReplicationConfig::static_nuca())
             .is_none());
-        assert!(registry.contains(SchemeId::Custom("ALWAYS")));
-        let previous = registry.register(Arc::new(Always), ReplicationConfig::locality_aware(3));
-        assert!(previous.is_some());
-        assert_eq!(registry.len(), 1);
+        // The stored config names the policy's scheme, so RT follows that
+        // id rather than the config it was registered with.
+        let previous = registry.register(
+            Arc::new(Always),
+            ReplicationConfig::locality_aware(8).with_cluster_size(4),
+        );
+        assert_eq!(
+            previous.map(|entry| entry.config.scheme),
+            Some(SchemeId::Custom("ALWAYS"))
+        );
+        let entry = registry
+            .get(SchemeId::Custom("ALWAYS"))
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(entry.config.scheme, SchemeId::Custom("ALWAYS"));
+        assert_eq!(entry.config.replication_threshold(), 3);
+        assert_eq!(entry.config.cluster_size, 4);
         assert_eq!(
             registry.ids().collect::<Vec<_>>(),
             vec![SchemeId::Custom("ALWAYS")]

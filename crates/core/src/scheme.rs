@@ -1,99 +1,23 @@
-//! The LLC management schemes evaluated in the paper (Section 3.3).
+//! The one name of an LLC management scheme (Section 3.3).
+//!
+//! A scheme of the paper's evaluation is a family plus at most one number:
+//! the locality-aware protocol runs at a replication threshold RT, and ASR
+//! at a replication level.  [`SchemeId`] is exactly that, so it is the only
+//! name a scheme has: the report and matrix key, the report label, the
+//! [`ReplicationConfig`](crate::config::ReplicationConfig) field the engine
+//! reads RT from, and the key
+//! [`builtin_policy`](crate::policy::builtin_policy) builds a policy from.
+//! [`SchemeId::BUILTIN`] lists the paper's sweep once.
 
 use std::fmt;
-
-use crate::placement::PlacementPolicy;
-
-/// The five LLC management schemes of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchemeKind {
-    /// Static-NUCA: all cache lines address-interleaved across the LLC
-    /// slices, no replication.
-    StaticNuca,
-    /// Reactive-NUCA: private data placed at the requester's slice,
-    /// instructions replicated per 4-core cluster, shared data interleaved.
-    ReactiveNuca,
-    /// Victim Replication: the local LLC slice acts as a victim cache for L1
-    /// evictions (Zhang & Asanović).
-    VictimReplication,
-    /// Adaptive Selective Replication: shared read-only lines are replicated
-    /// on L1 eviction with a per-benchmark probability level (Beckmann et
-    /// al.).
-    AdaptiveSelectiveReplication,
-    /// The paper's locality-aware replication protocol.
-    LocalityAware,
-}
-
-impl SchemeKind {
-    /// All schemes, in the order the paper's figures list them
-    /// (S-NUCA, R-NUCA, VR, ASR, then the locality-aware RT variants).
-    pub const ALL: [SchemeKind; 5] = [
-        SchemeKind::StaticNuca,
-        SchemeKind::ReactiveNuca,
-        SchemeKind::VictimReplication,
-        SchemeKind::AdaptiveSelectiveReplication,
-        SchemeKind::LocalityAware,
-    ];
-
-    /// Short label used in reports (matches the paper's figure axes).
-    pub fn label(self) -> &'static str {
-        match self {
-            SchemeKind::StaticNuca => "S-NUCA",
-            SchemeKind::ReactiveNuca => "R-NUCA",
-            SchemeKind::VictimReplication => "VR",
-            SchemeKind::AdaptiveSelectiveReplication => "ASR",
-            SchemeKind::LocalityAware => "RT",
-        }
-    }
-
-    /// The home-placement policy each scheme uses.
-    ///
-    /// VR and ASR are built on top of Static-NUCA (the paper models them that
-    /// way); R-NUCA uses its page-grain placement with cluster-replicated
-    /// instructions; the locality-aware protocol reuses R-NUCA's data
-    /// placement but replicates instructions through its own classifier.
-    pub fn placement_policy(self) -> PlacementPolicy {
-        match self {
-            SchemeKind::StaticNuca
-            | SchemeKind::VictimReplication
-            | SchemeKind::AdaptiveSelectiveReplication => PlacementPolicy::AddressInterleaved,
-            SchemeKind::ReactiveNuca => PlacementPolicy::Rnuca {
-                instruction_cluster: 4,
-            },
-            SchemeKind::LocalityAware => PlacementPolicy::RnucaDataOnly,
-        }
-    }
-
-    /// `true` if the scheme ever installs replicas in the requester's local
-    /// LLC slice.
-    pub fn replicates(self) -> bool {
-        !matches!(self, SchemeKind::StaticNuca | SchemeKind::ReactiveNuca)
-    }
-
-    /// `true` if replicas are created on L1 evictions (VR, ASR) rather than
-    /// on L1 misses (locality-aware).
-    pub fn replicates_on_eviction(self) -> bool {
-        matches!(
-            self,
-            SchemeKind::VictimReplication | SchemeKind::AdaptiveSelectiveReplication
-        )
-    }
-}
-
-impl fmt::Display for SchemeKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// A typed identifier for one experiment configuration of the benchmark ×
 /// scheme matrix.
 ///
-/// Where [`SchemeKind`] names the five protocol *families*, a `SchemeId`
-/// names one *column of a figure*: `Rt(3)` and `Rt(8)` are distinct ids of
-/// the same family, the ASR sweep runs as `AsrAt(level)` entries that the
-/// comparison collapses into the single [`SchemeId::Asr`] column, and
-/// out-of-crate policies registered with a
+/// A `SchemeId` names one *column of a figure*: `Rt(3)` and `Rt(8)` are
+/// distinct ids of the same family, the ASR sweep runs as `AsrAt(level)`
+/// entries that the comparison collapses into the single [`SchemeId::Asr`]
+/// column, and out-of-crate policies registered with a
 /// [`SchemeRegistry`](crate::policy::SchemeRegistry) use
 /// [`SchemeId::Custom`].  Experiment results are keyed by `SchemeId` instead
 /// of bare label strings, so a typo'd lookup is a compile error or a typed
@@ -126,6 +50,23 @@ pub enum SchemeId {
 }
 
 impl SchemeId {
+    /// Every built-in scheme the paper's sweep runs, in the order experiment
+    /// matrices queue them: the three baselines, the locality-aware protocol
+    /// at RT 1, 3 and 8, then ASR at each of its five replication levels.
+    pub const BUILTIN: [SchemeId; 11] = [
+        SchemeId::StaticNuca,
+        SchemeId::ReactiveNuca,
+        SchemeId::VictimReplication,
+        SchemeId::Rt(1),
+        SchemeId::Rt(3),
+        SchemeId::Rt(8),
+        SchemeId::AsrAt(0),
+        SchemeId::AsrAt(25),
+        SchemeId::AsrAt(50),
+        SchemeId::AsrAt(75),
+        SchemeId::AsrAt(100),
+    ];
+
     /// The short label used in reports and figure axes
     /// (`S-NUCA`, `ASR-0.50`, `RT-3`, ...).
     pub fn label(self) -> String {
@@ -167,20 +108,6 @@ impl SchemeId {
             }
         }
         SchemeId::Custom(intern_label(label))
-    }
-
-    /// The protocol family implementing this scheme, or `None` for
-    /// [`SchemeId::Custom`] ids (whose behaviour is defined by the
-    /// registered policy, not by a built-in family).
-    pub fn kind(self) -> Option<SchemeKind> {
-        match self {
-            SchemeId::StaticNuca => Some(SchemeKind::StaticNuca),
-            SchemeId::ReactiveNuca => Some(SchemeKind::ReactiveNuca),
-            SchemeId::VictimReplication => Some(SchemeKind::VictimReplication),
-            SchemeId::Asr | SchemeId::AsrAt(_) => Some(SchemeKind::AdaptiveSelectiveReplication),
-            SchemeId::Rt(_) => Some(SchemeKind::LocalityAware),
-            SchemeId::Custom(_) => None,
-        }
     }
 }
 
@@ -254,56 +181,54 @@ impl std::error::Error for UnknownScheme {}
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::placement::PlacementPolicy;
+    use crate::policy::{builtin_policy, ReplicationPolicy};
+
+    fn builtin(id: SchemeId) -> Arc<dyn ReplicationPolicy> {
+        builtin_policy(id).unwrap_or_else(|| panic!("{id} has a built-in policy"))
+    }
 
     #[test]
     fn labels_match_paper_axes() {
-        assert_eq!(SchemeKind::StaticNuca.label(), "S-NUCA");
-        assert_eq!(SchemeKind::ReactiveNuca.label(), "R-NUCA");
-        assert_eq!(SchemeKind::VictimReplication.label(), "VR");
-        assert_eq!(SchemeKind::AdaptiveSelectiveReplication.label(), "ASR");
-        assert_eq!(SchemeKind::LocalityAware.label(), "RT");
-        assert_eq!(SchemeKind::ALL.len(), 5);
+        let labels: Vec<String> = SchemeId::BUILTIN.iter().map(|id| id.label()).collect();
+        assert_eq!(
+            labels,
+            [
+                "S-NUCA", "R-NUCA", "VR", "RT-1", "RT-3", "RT-8", "ASR-0.00", "ASR-0.25",
+                "ASR-0.50", "ASR-0.75", "ASR-1.00",
+            ]
+        );
     }
 
     #[test]
     fn placement_policies() {
-        assert_eq!(
-            SchemeKind::StaticNuca.placement_policy(),
-            PlacementPolicy::AddressInterleaved
-        );
-        assert_eq!(
-            SchemeKind::VictimReplication.placement_policy(),
-            PlacementPolicy::AddressInterleaved
-        );
-        assert_eq!(
-            SchemeKind::AdaptiveSelectiveReplication.placement_policy(),
-            PlacementPolicy::AddressInterleaved
-        );
-        assert_eq!(
-            SchemeKind::ReactiveNuca.placement_policy(),
-            PlacementPolicy::Rnuca {
-                instruction_cluster: 4
-            }
-        );
-        assert_eq!(
-            SchemeKind::LocalityAware.placement_policy(),
-            PlacementPolicy::RnucaDataOnly
-        );
+        // VR and ASR are modelled on Static-NUCA placement; R-NUCA clusters
+        // instructions per 4 cores; the locality-aware protocol keeps
+        // R-NUCA's data placement and replicates through its classifier.
+        for id in SchemeId::BUILTIN {
+            let expected = match id {
+                SchemeId::ReactiveNuca => PlacementPolicy::Rnuca {
+                    instruction_cluster: 4,
+                },
+                SchemeId::Rt(_) => PlacementPolicy::RnucaDataOnly,
+                _ => PlacementPolicy::AddressInterleaved,
+            };
+            assert_eq!(builtin(id).placement(), expected, "{id}");
+        }
     }
 
     #[test]
     fn replication_flags() {
-        assert!(!SchemeKind::StaticNuca.replicates());
-        assert!(!SchemeKind::ReactiveNuca.replicates());
-        assert!(SchemeKind::VictimReplication.replicates());
-        assert!(SchemeKind::AdaptiveSelectiveReplication.replicates());
-        assert!(SchemeKind::LocalityAware.replicates());
-
-        assert!(SchemeKind::VictimReplication.replicates_on_eviction());
-        assert!(SchemeKind::AdaptiveSelectiveReplication.replicates_on_eviction());
-        assert!(!SchemeKind::LocalityAware.replicates_on_eviction());
-        assert!(!SchemeKind::StaticNuca.replicates_on_eviction());
+        for id in SchemeId::BUILTIN {
+            let policy = builtin(id);
+            let replicates = !matches!(id, SchemeId::StaticNuca | SchemeId::ReactiveNuca);
+            let on_eviction = matches!(id, SchemeId::VictimReplication | SchemeId::AsrAt(_));
+            assert_eq!(policy.replicates(), replicates, "{id}");
+            assert_eq!(policy.replicates_on_eviction(), on_eviction, "{id}");
+        }
     }
 
     #[test]
@@ -320,18 +245,10 @@ mod tests {
 
     #[test]
     fn scheme_id_parse_roundtrips_builtins() {
-        for id in [
-            SchemeId::StaticNuca,
-            SchemeId::ReactiveNuca,
-            SchemeId::VictimReplication,
-            SchemeId::Asr,
-            SchemeId::AsrAt(0),
-            SchemeId::AsrAt(25),
-            SchemeId::AsrAt(75),
-            SchemeId::Rt(1),
-            SchemeId::Rt(3),
-            SchemeId::Rt(8),
-        ] {
+        for id in SchemeId::BUILTIN
+            .into_iter()
+            .chain([SchemeId::Asr, SchemeId::Rt(5)])
+        {
             assert_eq!(SchemeId::parse(&id.label()), id, "{id} must round-trip");
         }
         // Unknown labels become Custom ids that still round-trip.
@@ -355,21 +272,6 @@ mod tests {
         // Pointer-identical, not merely equal: repeated parses reuse the
         // single leaked allocation.
         assert!(std::ptr::eq(first, second));
-    }
-
-    #[test]
-    fn scheme_id_maps_to_family() {
-        assert_eq!(SchemeId::StaticNuca.kind(), Some(SchemeKind::StaticNuca));
-        assert_eq!(
-            SchemeId::Asr.kind(),
-            Some(SchemeKind::AdaptiveSelectiveReplication)
-        );
-        assert_eq!(
-            SchemeId::AsrAt(25).kind(),
-            Some(SchemeKind::AdaptiveSelectiveReplication)
-        );
-        assert_eq!(SchemeId::Rt(8).kind(), Some(SchemeKind::LocalityAware));
-        assert_eq!(SchemeId::Custom("X").kind(), None);
     }
 
     #[test]

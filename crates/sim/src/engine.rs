@@ -22,12 +22,11 @@ use lad_energy::accounting::{Component, EnergyAccounting};
 use lad_energy::model::EnergyModel;
 use lad_noc::message::MessageKind;
 use lad_noc::Network;
-use lad_obs::{Counter, LatencyHistogram, MetricsRegistry};
+use lad_obs::{Counter, MetricsRegistry};
 use lad_replication::config::ReplicationConfig;
 use lad_replication::entry::{HomeEntry, LlcEntry, ReplicaEntry};
 use lad_replication::placement::HomeMap;
 use lad_replication::policy::{builtin_policy, EvictDecision, FillDecision, ReplicationPolicy};
-use lad_replication::scheme::SchemeId;
 use lad_trace::generator::WorkloadTrace;
 use lad_traceio::error::TraceError;
 use lad_traceio::source::{MemorySource, TraceSource};
@@ -211,7 +210,6 @@ pub struct Simulator {
     system: SystemConfig,
     replication: ReplicationConfig,
     policy: Arc<dyn ReplicationPolicy>,
-    scheme_id: SchemeId,
     label: String,
     energy_model: EnergyModel,
     benchmark: String,
@@ -249,7 +247,6 @@ pub struct Simulator {
 #[derive(Debug, Clone)]
 struct EngineMetrics {
     accesses: Counter,
-    batch_steps: LatencyHistogram,
     runs_completed: Counter,
     checkpoints_captured: Counter,
 }
@@ -260,10 +257,6 @@ impl EngineMetrics {
             accesses: registry.counter(
                 "lad_engine_accesses_total",
                 "memory accesses simulated across all runs",
-            ),
-            batch_steps: registry.histogram(
-                "lad_engine_batch_steps",
-                "consecutive steps dispatched to one core without scheduler traffic",
             ),
             runs_completed: registry.counter(
                 "lad_engine_runs_completed_total",
@@ -283,9 +276,19 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if either configuration fails validation.
+    /// Panics if either configuration fails validation, or if
+    /// `replication.scheme` has no built-in policy: the collapsed
+    /// `SchemeId::Asr` column (runs use `SchemeId::AsrAt`) or a
+    /// `SchemeId::Custom` id (build those with
+    /// [`Simulator::with_policy_and_energy_model`]).
     pub fn new(system: SystemConfig, replication: ReplicationConfig) -> Self {
-        let policy = builtin_policy(&replication);
+        let Some(policy) = builtin_policy(replication.scheme) else {
+            panic!(
+                "scheme {} has no built-in policy; pass its policy to \
+                 Simulator::with_policy_and_energy_model",
+                replication.scheme
+            );
+        };
         let label = replication.label();
         Self::build(
             system,
@@ -298,9 +301,10 @@ impl Simulator {
 
     /// Builds a simulator around a custom [`ReplicationPolicy`] (registered
     /// or not) and an explicit energy model.  `replication` supplies the
-    /// engine knobs (replication threshold, classifier organization, cluster
-    /// size, LLC replacement); placement and every replication decision come
-    /// from the policy.
+    /// engine knobs (the replication threshold its `scheme` carries,
+    /// classifier organization, cluster size, LLC replacement); the report
+    /// label, placement and every replication decision come from the
+    /// policy.
     ///
     /// # Panics
     ///
@@ -357,7 +361,6 @@ impl Simulator {
             obs: EngineMetrics::resolve(lad_obs::global()),
             system,
             replication,
-            scheme_id: policy.id(),
             policy,
             label,
             energy_model,
@@ -377,21 +380,6 @@ impl Simulator {
     /// The system configuration.
     pub fn system(&self) -> &SystemConfig {
         &self.system
-    }
-
-    /// The replication configuration.
-    pub fn replication(&self) -> &ReplicationConfig {
-        &self.replication
-    }
-
-    /// The replication policy driving this simulator's decisions.
-    pub fn policy(&self) -> &Arc<dyn ReplicationPolicy> {
-        &self.policy
-    }
-
-    /// The typed scheme identity of this simulator.
-    pub fn scheme_id(&self) -> SchemeId {
-        self.scheme_id
     }
 
     /// The local clock of one core — external drivers use this to interleave
@@ -538,7 +526,7 @@ impl Simulator {
         SimulationReport {
             benchmark: self.benchmark.clone(),
             scheme: self.label.clone(),
-            scheme_id: self.scheme_id,
+            scheme_id: self.policy.id(),
             completion_time: completion,
             latency,
             misses: self.misses,
@@ -746,7 +734,7 @@ impl Simulator {
         if checkpoint.scheme != self.label {
             return differs("scheme", &checkpoint.scheme, &self.label);
         }
-        let rt = self.replication.replication_threshold;
+        let rt = self.replication.replication_threshold();
         if checkpoint.replication_threshold != rt {
             return differs("RT", &checkpoint.replication_threshold, &rt);
         }
@@ -805,7 +793,25 @@ impl Simulator {
     /// `consumed` carries the per-core cursor of accesses already stepped
     /// (all zeros for a fresh run); the source must already be positioned on
     /// each core's first unstepped access.
+    ///
+    /// The accesses stepped are added to `lad_engine_accesses_total` once,
+    /// however the pass ends: completed, cancelled or failed, so the
+    /// per-step cost of observation is nothing.
     fn execute_source(
+        &mut self,
+        source: &mut dyn TraceSource,
+        num_cores: usize,
+        consumed: Vec<u64>,
+        observer: Option<&mut dyn RunObserver>,
+    ) -> Result<RunOutcome, TraceError> {
+        let before = self.total_accesses;
+        let outcome = self.dispatch_source(source, num_cores, consumed, observer);
+        self.obs.accesses.add(self.total_accesses - before);
+        outcome
+    }
+
+    /// The scheduling loop of [`Simulator::execute_source`].
+    fn dispatch_source(
         &mut self,
         source: &mut dyn TraceSource,
         num_cores: usize,
@@ -825,10 +831,6 @@ impl Simulator {
         let mut since_observe: u64 = 0;
         #[cfg(debug_assertions)]
         let mut steps_since_check: u32 = 0;
-        // Steps in the current same-core dispatch batch; flushed to the
-        // instruments at batch boundaries so the per-step cost of
-        // observation is a local increment, not an atomic.
-        let mut batch_len: u64 = 0;
         let mut current = scheduler.pop();
         while let Some(core) = current {
             let Some(access) = pending[core].take() else {
@@ -836,7 +838,6 @@ impl Simulator {
             };
             self.step(&access);
             consumed[core] += 1;
-            batch_len += 1;
             pending[core] = source.next_for_core(CoreId::new(core))?;
 
             // Debug builds sweep the live state against the shared invariant
@@ -860,8 +861,6 @@ impl Simulator {
                         consumed: &consumed,
                     };
                     if matches!(observer.observe(progress), RunControl::Cancel) {
-                        self.obs.accesses.add(batch_len);
-                        self.obs.batch_steps.record(batch_len);
                         self.obs.checkpoints_captured.inc();
                         return Ok(RunOutcome::Cancelled(Box::new(
                             self.capture_checkpoint(&consumed),
@@ -871,16 +870,10 @@ impl Simulator {
             }
 
             current = if pending[core].is_none() {
-                self.obs.accesses.add(batch_len);
-                self.obs.batch_steps.record(batch_len);
-                batch_len = 0;
                 scheduler.pop()
             } else if scheduler.runs_next(core, self.tiles[core].clock) {
                 Some(core)
             } else {
-                self.obs.accesses.add(batch_len);
-                self.obs.batch_steps.record(batch_len);
-                batch_len = 0;
                 scheduler.push(core, self.tiles[core].clock);
                 scheduler.pop()
             };
@@ -923,7 +916,7 @@ impl Simulator {
             benchmark: self.benchmark.clone(),
             num_cores: self.active_cores,
             scheme: self.label.clone(),
-            replication_threshold: self.replication.replication_threshold,
+            replication_threshold: self.replication.replication_threshold(),
             classifier_capacity: self.replication.classifier.capacity(),
             tiles: self
                 .tiles
@@ -1324,7 +1317,7 @@ impl Simulator {
             let new_entry = LlcEntry::Home(HomeEntry::new(
                 self.system.ackwise_pointers,
                 self.replication.classifier,
-                self.replication.replication_threshold,
+                self.replication.replication_threshold(),
             ));
             let evicted = self.tiles[home.index()].llc.fill(line, new_entry);
             if let Some((victim_line, victim_entry)) = evicted {
@@ -1581,7 +1574,7 @@ impl Simulator {
             .record(Component::L2Cache, self.energy_model.llc_data_write_pj);
         let entry = LlcEntry::Replica(ReplicaEntry::new(
             state,
-            self.replication.replication_threshold,
+            self.replication.replication_threshold(),
         ));
         let evicted = self.tiles[slice_core.index()].llc.fill(line, entry);
         self.replicas_created += 1;
@@ -1670,7 +1663,7 @@ impl Simulator {
             if install && home != replica_core {
                 self.energy
                     .record(Component::L2Cache, self.energy_model.llc_data_write_pj);
-                let mut rep = ReplicaEntry::new(state, self.replication.replication_threshold);
+                let mut rep = ReplicaEntry::new(state, self.replication.replication_threshold());
                 rep.l1_copy = false;
                 rep.dirty = dirty;
                 let evicted = self.tiles[replica_core.index()]
@@ -1884,6 +1877,7 @@ impl ProtocolView for EngineView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lad_replication::scheme::SchemeId;
     use lad_trace::benchmarks::Benchmark;
     use lad_trace::generator::TraceGenerator;
 
@@ -1891,14 +1885,11 @@ mod tests {
         TraceGenerator::new(benchmark.profile()).generate(16, accesses, seed)
     }
 
+    /// The run configuration of a comparison column (ASR at level 0.5).
     fn config_for(scheme: SchemeId) -> ReplicationConfig {
         match scheme {
-            SchemeId::StaticNuca => ReplicationConfig::static_nuca(),
-            SchemeId::ReactiveNuca => ReplicationConfig::reactive_nuca(),
-            SchemeId::VictimReplication => ReplicationConfig::victim_replication(),
             SchemeId::Asr => ReplicationConfig::asr(0.5),
-            SchemeId::Rt(rt) => ReplicationConfig::locality_aware(rt),
-            other => panic!("no built-in configuration for {other}"),
+            other => ReplicationConfig::of(other),
         }
     }
 
@@ -2387,5 +2378,31 @@ mod tests {
             Some(trace.total_accesses() as u64)
         );
         assert_eq!(exported_accesses(&noop), Some(0));
+
+        // A cancelled run counts the accesses it stepped, and its resume
+        // to completion counts the rest.
+        let registry = MetricsRegistry::new();
+        let mut sim = Simulator::new(
+            SystemConfig::small_test(),
+            ReplicationConfig::locality_aware(3),
+        );
+        sim.set_metrics_registry(&registry);
+        let mut stop = StopAfter::new(1000);
+        let checkpoint = match sim
+            .run_source_observed(&mut MemorySource::new(&trace), Some(&mut stop))
+            .unwrap()
+        {
+            RunOutcome::Cancelled(checkpoint) => checkpoint,
+            RunOutcome::Completed(_) => panic!("the trace is longer than 1000 accesses"),
+        };
+        assert_eq!(exported_accesses(&registry), Some(1000));
+        let resumed = sim
+            .resume_source(&mut MemorySource::new(&trace), &checkpoint, None)
+            .unwrap();
+        assert!(matches!(resumed, RunOutcome::Completed(_)));
+        assert_eq!(
+            exported_accesses(&registry),
+            Some(trace.total_accesses() as u64)
+        );
     }
 }

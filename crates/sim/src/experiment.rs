@@ -27,7 +27,6 @@ use lad_common::json::JsonValue;
 use lad_common::stats::{mean, normalized};
 use lad_energy::model::EnergyModel;
 use lad_replication::config::ReplicationConfig;
-use lad_replication::policies::AsrPolicy;
 use lad_replication::policy::{RegisteredScheme, ReplicationPolicy, SchemeRegistry};
 use lad_replication::scheme::{SchemeId, UnknownScheme};
 use lad_trace::benchmarks::Benchmark;
@@ -174,11 +173,6 @@ impl ExperimentRunner {
         &self.suite
     }
 
-    /// The scheme registry the runner resolves sweeps through.
-    pub fn registry(&self) -> &SchemeRegistry {
-        &self.registry
-    }
-
     /// Number of worker threads actually spawned for a matrix of
     /// `job_count` cells: the configured thread count clamped so no worker
     /// is spawned just to find the job queue already empty, and at least
@@ -189,6 +183,10 @@ impl ExperimentRunner {
 
     /// Runs one benchmark under one ad-hoc configuration (bypassing the
     /// registry), using the built-in policy of `config.scheme`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulator::new`]: when `config.scheme` has no built-in policy.
     pub fn run_one(&self, benchmark: Benchmark, config: &ReplicationConfig) -> SimulationReport {
         let trace = self.suite.trace_for(benchmark, self.system.num_cores);
         let mut sim = Simulator::new(self.system.clone(), config.clone());
@@ -334,22 +332,11 @@ impl ExperimentRunner {
         Ok(results)
     }
 
-    /// The scheme ids of the paper's standard sweep: the four baselines
-    /// (with ASR at every level of [`AsrPolicy::LEVELS`]) and RT-1, RT-3,
-    /// RT-8.
+    /// The scheme ids of the paper's standard sweep, [`SchemeId::BUILTIN`]:
+    /// the three baselines, RT-1, RT-3, RT-8, then ASR at each of its five
+    /// replication levels.
     pub fn paper_sweep() -> Vec<SchemeId> {
-        let mut schemes = vec![
-            SchemeId::StaticNuca,
-            SchemeId::ReactiveNuca,
-            SchemeId::VictimReplication,
-            SchemeId::Rt(1),
-            SchemeId::Rt(3),
-            SchemeId::Rt(8),
-        ];
-        for level in AsrPolicy::LEVELS {
-            schemes.push(SchemeId::asr_at_level(level));
-        }
-        schemes
+        SchemeId::BUILTIN.to_vec()
     }
 
     /// Runs the paper's standard seven-configuration comparison
@@ -898,12 +885,13 @@ mod tests {
 
     #[test]
     fn paper_sweep_contains_every_figure_column() {
-        let sweep = ExperimentRunner::paper_sweep();
-        assert_eq!(sweep.len(), 11);
+        // The order is the order `run_matrix` queues cells in; the list's
+        // labels are pinned in `lad_replication`'s scheme tests.
+        assert_eq!(ExperimentRunner::paper_sweep(), SchemeId::BUILTIN);
         let registry = SchemeRegistry::builtin();
-        for id in &sweep {
+        for id in ExperimentRunner::paper_sweep() {
             assert!(
-                registry.contains(*id),
+                registry.get(id).is_ok(),
                 "{id} missing from the built-in registry"
             );
         }

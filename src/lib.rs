@@ -59,7 +59,7 @@ pub mod prelude {
         builtin_policy, EvictDecision, FillDecision, RegisteredScheme, ReplicationPolicy,
         SchemeRegistry,
     };
-    pub use lad_replication::scheme::{SchemeId, SchemeKind, UnknownScheme};
+    pub use lad_replication::scheme::{SchemeId, UnknownScheme};
     pub use lad_sim::engine::{AccessOutcome, ServedBy, Simulator};
     pub use lad_sim::experiment::{ExperimentRunner, ReplayError, SchemeComparison};
     pub use lad_sim::metrics::SimulationReport;
