@@ -22,7 +22,7 @@ use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use lad_common::cli::{no_leftovers, parse_number, take_flag};
+use lad_common::cli::{no_leftovers, parse_number, print_stdout, take_flag};
 use lad_common::config::SystemConfig;
 use lad_replication::scheme::SchemeId;
 use lad_sim::experiment::ExperimentRunner;
@@ -57,10 +57,7 @@ fn main() -> ExitCode {
         "replay" => cmd_replay(&args[1..]),
         "inspect" => cmd_inspect(&args[1..]),
         "convert" => cmd_convert(&args[1..]),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
+        "--help" | "-h" | "help" => print_stdout(&format!("{USAGE}\n")),
         other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
     };
     match result {
@@ -105,21 +102,20 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     let recorded = record_suite(&suite, cores, &dir).map_err(|e| e.to_string())?;
     for entry in &recorded {
         let bytes = std::fs::metadata(&entry.path).map(|m| m.len()).unwrap_or(0);
-        println!(
-            "recorded {:<12} -> {} ({} bytes)",
+        print_stdout(&format!(
+            "recorded {:<12} -> {} ({} bytes)\n",
             entry.benchmark,
             entry.path.display(),
             bytes
-        );
+        ))?;
     }
-    println!(
-        "{} benchmarks, {} cores, {} accesses/core, seed 0x{:x}",
+    print_stdout(&format!(
+        "{} benchmarks, {} cores, {} accesses/core, seed 0x{:x}\n",
         recorded.len(),
         cores,
         suite.accesses_per_core(),
         suite.seed()
-    );
-    Ok(())
+    ))
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {
@@ -140,7 +136,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let report = runner
         .replay_file(&path, scheme)
         .map_err(|e| e.to_string())?;
-    print_report(&report);
+    print_stdout(&report_text(&report))?;
     if let Some(json_path) = json {
         lad_common::fs::atomic_write(
             std::path::Path::new(&json_path),
@@ -158,20 +154,29 @@ fn read_header(path: &Path) -> Result<TraceHeader, String> {
     Ok(reader.header().clone())
 }
 
-fn print_report(report: &SimulationReport) {
-    println!("benchmark        {}", report.benchmark);
-    println!("scheme           {}", report.scheme);
-    println!("accesses         {}", report.total_accesses);
-    println!("completion       {}", report.completion_time);
-    println!(
-        "l1 hit rate      {:.2}%",
-        100.0 * report.misses.l1_hits as f64 / report.total_accesses.max(1) as f64
-    );
-    println!("replica hits     {}", report.misses.llc_replica_hits);
-    println!("home hits        {}", report.misses.llc_home_hits);
-    println!("off-chip misses  {}", report.misses.offchip_misses);
-    println!("replicas created {}", report.replicas_created);
-    println!("energy           {:.1} nJ", report.energy.total() / 1000.0);
+fn report_text(report: &SimulationReport) -> String {
+    format!(
+        "benchmark        {}\n\
+         scheme           {}\n\
+         accesses         {}\n\
+         completion       {}\n\
+         l1 hit rate      {:.2}%\n\
+         replica hits     {}\n\
+         home hits        {}\n\
+         off-chip misses  {}\n\
+         replicas created {}\n\
+         energy           {:.1} nJ\n",
+        report.benchmark,
+        report.scheme,
+        report.total_accesses,
+        report.completion_time,
+        100.0 * report.misses.l1_hits as f64 / report.total_accesses.max(1) as f64,
+        report.misses.llc_replica_hits,
+        report.misses.llc_home_hits,
+        report.misses.offchip_misses,
+        report.replicas_created,
+        report.energy.total() / 1000.0
+    )
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
@@ -183,11 +188,19 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     let file = File::open(&path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
     let mut reader = TraceReader::new(BufReader::new(file)).map_err(|e| e.to_string())?;
     let header = reader.header().clone();
-    println!("file        {} ({} bytes)", path.display(), bytes);
-    println!("format      LADT v{}", lad_traceio::FORMAT_VERSION);
-    println!("benchmark   {}", header.benchmark);
-    println!("cores       {}", header.num_cores);
-    println!("seed        0x{:x}", header.seed);
+    print_stdout(&format!(
+        "file        {} ({} bytes)\n\
+         format      LADT v{}\n\
+         benchmark   {}\n\
+         cores       {}\n\
+         seed        0x{:x}\n",
+        path.display(),
+        bytes,
+        lad_traceio::FORMAT_VERSION,
+        header.benchmark,
+        header.num_cores,
+        header.seed
+    ))?;
 
     #[derive(Default, Clone, Copy)]
     struct CoreStats {
@@ -226,17 +239,19 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         }
     }
     let total = reader.accesses_read();
-    println!("digest      {}", digest.finish().to_hex());
-    println!("accesses    {total}");
+    print_stdout(&format!(
+        "digest      {}\naccesses    {total}\n",
+        digest.finish().to_hex()
+    ))?;
     if total > 0 {
-        println!("bytes/acc   {:.2}", bytes as f64 / total as f64);
+        print_stdout(&format!("bytes/acc   {:.2}\n", bytes as f64 / total as f64))?;
     }
-    println!("core  accesses     reads    writes  ifetches  address range");
+    print_stdout("core  accesses     reads    writes  ifetches  address range\n")?;
     for (core, s) in stats.iter().enumerate() {
-        println!(
-            "{core:>4}  {:>8}  {:>8}  {:>8}  {:>8}  0x{:x}..0x{:x}",
+        print_stdout(&format!(
+            "{core:>4}  {:>8}  {:>8}  {:>8}  {:>8}  0x{:x}..0x{:x}\n",
             s.accesses, s.reads, s.writes, s.ifetches, s.min_address, s.max_address
-        );
+        ))?;
     }
     Ok(())
 }
@@ -270,7 +285,10 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
                 ladt_to_text(reader, BufWriter::new(file)).map_err(std::io::Error::other)
             })
             .map_err(|e| format!("cannot write {}: {e}", output.display()))?;
-            println!("converted {written} accesses to text: {}", output.display());
+            print_stdout(&format!(
+                "converted {written} accesses to text: {}\n",
+                output.display()
+            ))?;
         }
         "ladt" => {
             let num_cores = match cores {
@@ -283,10 +301,10 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
                 text_to_ladt(reader, BufWriter::new(file), header).map_err(std::io::Error::other)
             })
             .map_err(|e| format!("cannot write {}: {e}", output.display()))?;
-            println!(
-                "converted {written} accesses ({num_cores} cores) to LADT: {}",
+            print_stdout(&format!(
+                "converted {written} accesses ({num_cores} cores) to LADT: {}\n",
                 output.display()
-            );
+            ))?;
         }
         other => {
             return Err(format!(

@@ -2,8 +2,9 @@
 //! inspect and replay a file, and round-trip through the text form — the
 //! same flow the CI workflow exercises in a temp dir.
 
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use lad_common::json::JsonValue;
 use lad_sim::metrics::SimulationReport;
@@ -165,4 +166,48 @@ fn cli_errors_are_reported_not_panicked() {
     // Unknown replay scheme surfaces the registry error.
     let (ok, _, stderr) = lad_trace(&["replay", bogus.to_str().unwrap(), "--scheme", "BOGUS"]);
     assert!(!ok, "{stderr}");
+}
+
+#[test]
+fn inspect_exits_quietly_when_its_reader_closes_early() {
+    // `lad-trace inspect wide.ladt | head -3`: the per-core table of a
+    // 4 096-core trace is larger than a pipe buffers, so inspect is still
+    // writing when its reader stops after three lines.
+    let dir = TempDir::new();
+    let text = dir.path("wide.txt");
+    let ladt = dir.path("wide.ladt");
+    let lines: String = (0..4096)
+        .map(|core| format!("{core} 0x{:x} 0\n", 64 * core))
+        .collect();
+    std::fs::write(&text, lines).unwrap();
+    run_ok(&[
+        "convert",
+        "--to",
+        "ladt",
+        text.to_str().unwrap(),
+        ladt.to_str().unwrap(),
+    ]);
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lad-trace"))
+        .args(["inspect", ladt.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn lad-trace");
+    let mut reader = BufReader::new(child.stdout.take().unwrap());
+    for _ in 0..3 {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(!line.is_empty(), "inspect ended before three lines");
+    }
+    drop(reader);
+    let output = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        output.status.success(),
+        "inspect exited with {:?} on a closed pipe:\n{stderr}",
+        output.status.code()
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }

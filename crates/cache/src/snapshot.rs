@@ -1,16 +1,16 @@
-//! Plain-data snapshots of the cache models for checkpoint/resume.
+//! Checkpoint support for the cache models.
 //!
-//! A [`CacheState`] captures one cache array — occupied slots with their
-//! tags, LRU stamps and entries, and the global LRU clock — as ordinary
-//! vectors and integers, with no opinion on how it is serialized.  The JSON
-//! encoding lives with the simulator's checkpoint module so that this crate
-//! stays serialization-free.
+//! A checkpoint reads a cache through the borrowing [`L1Cache::slots`] /
+//! [`LlcSlice::slots`] and their `clock`, so capturing one copies no entry.
+//! A decoded checkpoint hands each cache back as a [`CacheState`] — the
+//! occupied slots with their tags, LRU stamps and entries, and the global
+//! LRU clock, as ordinary vectors and integers — which `restore_state`
+//! consumes.  This crate stays serialization-free: the byte encoding lives
+//! with the simulator's checkpoint module.
 //!
-//! A state always carries plain `V` entries, whatever form the array
-//! stores them in (the LLC slice boxes its entries), so the checkpoint
-//! codec never sees how a cache lays out its memory.
-
-use std::borrow::Borrow;
+//! Both directions carry plain `V` entries, whatever form the array stores
+//! them in (the LLC slice boxes its entries), so the checkpoint codec never
+//! sees how a cache lays out its memory.
 
 use crate::l1::L1Cache;
 use crate::llc_slice::LlcSlice;
@@ -18,29 +18,17 @@ use crate::replacement::SharerCount;
 use crate::set_assoc::SetAssocCache;
 
 /// Complete state of an [`L1Cache`] or [`LlcSlice`] holding entries of
-/// type `V`.
+/// type `V`, as a decoded checkpoint carries it.
 ///
 /// Restoring a state into a cache built from the same configuration
 /// reproduces every future lookup, LRU promotion and victim choice of the
-/// snapshotted cache.
+/// checkpointed cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheState<V> {
     /// Occupied slots as `(slot, tag, lru_stamp, entry)`, in slot order.
     pub slots: Vec<(usize, u64, u64, V)>,
     /// The array's global LRU clock.
     pub clock: u64,
-}
-
-/// Snapshots an array storing its entries as `S` (`V` itself or
-/// `Box<V>`).
-fn capture<S: Borrow<V>, V: Clone>(array: &SetAssocCache<S>) -> CacheState<V> {
-    CacheState {
-        slots: array
-            .slots()
-            .map(|(slot, tag, stamp, value)| (slot, tag, stamp, value.borrow().clone()))
-            .collect(),
-        clock: array.clock(),
-    }
 }
 
 /// Checks `state` against `array`'s geometry: every slot in range and in
@@ -62,25 +50,28 @@ fn check_fits<S, V>(array: &SetAssocCache<S>, state: &CacheState<V>) -> Result<(
 
 /// Restores `state` into an array storing its entries as `S` (`V` itself
 /// or `Box<V>`).
-fn replay<S, V>(array: &mut SetAssocCache<S>, state: &CacheState<V>)
-where
-    S: From<V>,
-    V: Clone,
-{
+fn replay<S: From<V>, V>(array: &mut SetAssocCache<S>, state: CacheState<V>) {
     array.clear();
-    for (slot, tag, stamp, value) in &state.slots {
-        array.restore_slot(*slot, *tag, *stamp, S::from(value.clone()));
+    for (slot, tag, stamp, value) in state.slots {
+        array.restore_slot(slot, tag, stamp, S::from(value));
     }
     array.set_clock(state.clock);
 }
 
-impl<V: Clone> L1Cache<V> {
-    /// Snapshots the cache for checkpointing.
-    pub fn state(&self) -> CacheState<V> {
-        capture(self.array())
+impl<V> L1Cache<V> {
+    /// The occupied slots as `(slot, tag, lru_stamp, entry)`, in slot
+    /// order — with [`L1Cache::clock`], everything a checkpoint records of
+    /// the cache.  The iterator yields exactly [`L1Cache::len`] items.
+    pub fn slots(&self) -> impl Iterator<Item = (usize, u64, u64, &V)> {
+        self.array().slots()
     }
 
-    /// Checks that a snapshot fits this cache's geometry — the condition
+    /// The array's global LRU clock.
+    pub fn clock(&self) -> u64 {
+        self.array().clock()
+    }
+
+    /// Checks that a state fits this cache's geometry — the condition
     /// under which [`L1Cache::restore_state`] cannot panic on slot indices.
     ///
     /// # Errors
@@ -90,24 +81,33 @@ impl<V: Clone> L1Cache<V> {
         check_fits(self.array(), state)
     }
 
-    /// Restores a snapshot taken from a cache with the same geometry.
+    /// Restores the state of a cache with the same geometry.
     ///
     /// # Panics
     ///
     /// Panics if a slot index falls outside this cache's geometry or the
-    /// snapshot is internally inconsistent (duplicate slots, stale clock).
-    pub fn restore_state(&mut self, state: &CacheState<V>) {
+    /// state is internally inconsistent (duplicate slots, stale clock).
+    pub fn restore_state(&mut self, state: CacheState<V>) {
         replay(self.array_mut(), state);
     }
 }
 
-impl<V: SharerCount + Clone> LlcSlice<V> {
-    /// Snapshots the slice for checkpointing.
-    pub fn state(&self) -> CacheState<V> {
-        capture(self.array())
+impl<V: SharerCount> LlcSlice<V> {
+    /// The occupied slots as `(slot, tag, lru_stamp, entry)`, in slot
+    /// order — with [`LlcSlice::clock`], everything a checkpoint records of
+    /// the slice.  The iterator yields exactly [`LlcSlice::len`] items.
+    pub fn slots(&self) -> impl Iterator<Item = (usize, u64, u64, &V)> {
+        self.array()
+            .slots()
+            .map(|(slot, tag, stamp, entry)| (slot, tag, stamp, &**entry))
     }
 
-    /// Checks that a snapshot fits this slice's geometry — the condition
+    /// The slice's global LRU clock.
+    pub fn clock(&self) -> u64 {
+        self.array().clock()
+    }
+
+    /// Checks that a state fits this slice's geometry — the condition
     /// under which [`LlcSlice::restore_state`] cannot panic on slot indices.
     ///
     /// # Errors
@@ -117,13 +117,13 @@ impl<V: SharerCount + Clone> LlcSlice<V> {
         check_fits(self.array(), state)
     }
 
-    /// Restores a snapshot taken from a slice with the same geometry.
+    /// Restores the state of a slice with the same geometry.
     ///
     /// # Panics
     ///
     /// Panics if a slot index falls outside this slice's geometry or the
-    /// snapshot is internally inconsistent (duplicate slots, stale clock).
-    pub fn restore_state(&mut self, state: &CacheState<V>) {
+    /// state is internally inconsistent (duplicate slots, stale clock).
+    pub fn restore_state(&mut self, state: CacheState<V>) {
         replay(self.array_mut(), state);
     }
 }
@@ -148,6 +148,28 @@ mod tests {
         }
     }
 
+    /// What a checkpoint records of a cache: its LRU clock and occupied
+    /// slots, copied out.
+    fn state_of<'a, V: Clone + 'a>(
+        clock: u64,
+        slots: impl Iterator<Item = (usize, u64, u64, &'a V)>,
+    ) -> CacheState<V> {
+        CacheState {
+            slots: slots
+                .map(|(slot, tag, stamp, value)| (slot, tag, stamp, value.clone()))
+                .collect(),
+            clock,
+        }
+    }
+
+    fn l1_state(l1: &L1Cache<u8>) -> CacheState<u8> {
+        state_of(l1.clock(), l1.slots())
+    }
+
+    fn llc_state(slice: &LlcSlice<Entry>) -> CacheState<Entry> {
+        state_of(slice.clock(), slice.slots())
+    }
+
     #[test]
     fn l1_state_roundtrip_preserves_behavior() {
         let mut l1: L1Cache<u8> = L1Cache::new(&config(), 64);
@@ -157,14 +179,15 @@ mod tests {
         l1.access(line(0));
         l1.access(line(99));
 
-        let state = l1.state();
+        let state = l1_state(&l1);
+        assert_eq!(state.slots.len(), l1.len());
         let mut restored: L1Cache<u8> = L1Cache::new(&config(), 64);
-        restored.restore_state(&state);
+        restored.restore_state(state);
 
         assert_eq!(restored.len(), l1.len());
         // Same future: the fill that overflows set 0 picks the same victim.
         assert_eq!(restored.fill(line(8), 8), l1.fill(line(8), 8));
-        assert_eq!(restored.state(), l1.state());
+        assert_eq!(l1_state(&restored), l1_state(&l1));
     }
 
     #[derive(Debug, Clone, PartialEq)]
@@ -186,15 +209,16 @@ mod tests {
         slice.fill(line(4), Entry { sharers: 0 });
         slice.access(line(4)); // MRU but sharer-free
 
-        let state = slice.state();
+        let state = llc_state(&slice);
+        assert_eq!(state.slots.len(), slice.len());
         let mut restored: LlcSlice<Entry> = LlcSlice::new(&config(), 64);
-        restored.restore_state(&state);
+        restored.restore_state(state);
 
         let expect = slice.fill(line(8), Entry { sharers: 1 });
         let got = restored.fill(line(8), Entry { sharers: 1 });
         assert_eq!(expect, got);
         assert_eq!(got.map(|(victim, _)| victim), Some(line(4)));
-        assert_eq!(restored.state(), slice.state());
+        assert_eq!(llc_state(&restored), llc_state(&slice));
     }
 
     #[test]
@@ -215,7 +239,7 @@ mod tests {
         l1.clear();
         slice.clear();
         // Entries, stamps and clock match a new cache.
-        assert_eq!(l1.state(), L1Cache::new(&config(), 64).state());
-        assert_eq!(slice.state(), LlcSlice::new(&config(), 64).state());
+        assert_eq!(l1_state(&l1), l1_state(&L1Cache::new(&config(), 64)));
+        assert_eq!(llc_state(&slice), llc_state(&LlcSlice::new(&config(), 64)));
     }
 }

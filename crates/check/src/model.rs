@@ -366,9 +366,8 @@ impl Model {
                     bytes.push(u8::from(sharers.is_global()));
                     bytes.push(sharers.tracked().len() as u8);
                     bytes.extend(sharers.tracked().iter().map(|c| c.index() as u8));
-                    let snapshot = entry.classifier.snapshot();
-                    bytes.push(snapshot.len() as u8);
-                    for t in snapshot {
+                    bytes.push(entry.classifier.tracked_count() as u8);
+                    for t in entry.classifier.snapshot() {
                         bytes.push(t.core.index() as u8);
                         bytes.push(u8::from(t.mode.allows_replica()));
                         bytes.push(t.home_reuse as u8);

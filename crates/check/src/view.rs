@@ -64,7 +64,7 @@ impl HomeSummary {
             tracked: sharers.tracked().to_vec(),
             global: sharers.is_global(),
             max_pointers: sharers.max_pointers(),
-            classifier: entry.classifier.snapshot(),
+            classifier: entry.classifier.snapshot().collect(),
             classifier_capacity: entry.classifier.capacity(),
             rt: entry.classifier.replication_threshold(),
             local_error: directory.local_invariant_error(),

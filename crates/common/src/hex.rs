@@ -2,13 +2,30 @@
 //! workspace carries binary payloads inside JSON documents (the service's
 //! `upload` verb body and the engine-checkpoint blob).
 //!
-//! Both directions are table-driven: encoding appends two digits per byte
-//! from a 16-entry digit table, decoding maps each digit through a 256-entry
-//! value table, so neither allocates per byte.
+//! Both directions are table-driven: encoding appends each byte's two
+//! digits as one slice of a 512-digit pair table, decoding maps each digit
+//! through a 256-entry value table, so neither allocates per byte.
 
 use std::fmt;
 
 const DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// The two digits of every byte value, in byte order: `"000102…feff"`.
+const PAIRS: &str = match std::str::from_utf8(&PAIR_DIGITS) {
+    Ok(text) => text,
+    Err(_) => panic!("hex digits are ASCII"),
+};
+
+const PAIR_DIGITS: [u8; 512] = {
+    let mut table = [0; 512];
+    let mut byte = 0;
+    while byte < 256 {
+        table[2 * byte] = DIGITS[byte >> 4];
+        table[2 * byte + 1] = DIGITS[byte & 0x0f];
+        byte += 1;
+    }
+    table
+};
 
 /// Marks a byte that is not a hex digit in [`VALUES`].
 const INVALID: u8 = 0xff;
@@ -60,8 +77,8 @@ impl std::error::Error for HexError {}
 pub fn encode(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
     for &byte in bytes {
-        out.push(char::from(DIGITS[usize::from(byte >> 4)]));
-        out.push(char::from(DIGITS[usize::from(byte & 0x0f)]));
+        let at = 2 * usize::from(byte);
+        out.push_str(&PAIRS[at..at + 2]);
     }
     out
 }
@@ -100,6 +117,8 @@ mod tests {
         let text = encode(&bytes);
         assert_eq!(text.len(), 512);
         assert!(text.starts_with("000102") && text.ends_with("fdfeff"));
+        let reference: String = bytes.iter().map(|byte| format!("{byte:02x}")).collect();
+        assert_eq!(text, reference);
         assert_eq!(decode(&text).unwrap(), bytes);
         assert_eq!(decode(&text.to_uppercase()).unwrap(), bytes);
         assert_eq!(decode("abc"), Err(HexError::OddLength));

@@ -308,24 +308,71 @@ fn newline_indent(out: &mut String, level: usize) {
     }
 }
 
+/// Appends `s` as a JSON string literal.  Runs that need no escape are
+/// copied whole; [`next_escape`] finds where each run ends.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    while let Some(at) = next_escape(bytes, start) {
+        // Every escaped byte is ASCII, so `at` and `at + 1` are char
+        // boundaries.
+        out.push_str(&s[start..at]);
+        match bytes[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            control => out.push_str(&format!("\\u{control:04x}")),
+        }
+        start = at + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// `0x01` in every byte of a word.
+const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+/// `0x80` in every byte of a word.
+const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+
+/// Whether a string byte needs an escape: `"`, `\` or a control byte.
+fn needs_escape(byte: u8) -> bool {
+    byte == b'"' || byte == b'\\' || byte < 0x20
+}
+
+/// The index of the first byte at or after `from` that needs an escape,
+/// scanning eight bytes per step.
+///
+/// In a little-endian word, `(w - ONES * b) & !w & HIGHS` sets the high bit
+/// of every byte below `b` that has a clear high bit, and applied to
+/// `w ^ ONES * c` it flags the bytes equal to `c`.  A flagged byte borrows
+/// from the next one up, so bytes above the first hit may be flagged
+/// falsely, but the lowest flag is always exact — and that is the one the
+/// scan takes.
+fn next_escape(bytes: &[u8], from: usize) -> Option<usize> {
+    let below = |word: u64, byte: u8| word.wrapping_sub(ONES * u64::from(byte)) & !word & HIGHS;
+    let rest = bytes.get(from..)?;
+    let mut words = rest.chunks_exact(8);
+    for (i, chunk) in words.by_ref().enumerate() {
+        let mut word = [0; 8];
+        word.copy_from_slice(chunk);
+        let word = u64::from_le_bytes(word);
+        let hits = below(word, 0x20)
+            | below(word ^ (ONES * u64::from(b'"')), 1)
+            | below(word ^ (ONES * u64::from(b'\\')), 1);
+        if hits != 0 {
+            return Some(from + 8 * i + hits.trailing_zeros() as usize / 8);
         }
     }
-    out.push('"');
+    let tail = words.remainder();
+    let base = from + rest.len() - tail.len();
+    tail.iter()
+        .position(|&byte| needs_escape(byte))
+        .map(|i| base + i)
 }
 
 /// Parser nesting limit — far beyond anything the harness writes, but keeps
@@ -747,5 +794,124 @@ mod tests {
         let pretty = value.pretty();
         assert!(pretty.contains("\n  \"k\": [\n    1,\n    2\n  ]\n"));
         assert!(pretty.ends_with('\n'));
+    }
+
+    /// The char-at-a-time escaper the word scan replaced: every rendering
+    /// must match it byte for byte.
+    fn reference_escaped(s: &str) -> String {
+        let mut out = String::from('"');
+        for ch in s.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Renders `s` as a string value and as an object key, compact and
+    /// pretty, against the reference, and parses each rendering back.
+    fn assert_renders_like_reference(s: &str) {
+        let expected = reference_escaped(s);
+        let value = JsonValue::from(s);
+        assert_eq!(value.to_string(), expected, "{s:?}");
+        assert_eq!(value.pretty(), format!("{expected}\n"), "{s:?}");
+        let keyed = JsonValue::object([(s, JsonValue::Null)]);
+        assert_eq!(keyed.to_string(), format!("{{{expected}:null}}"), "{s:?}");
+        assert_eq!(
+            keyed.pretty(),
+            format!("{{\n  {expected}: null\n}}\n"),
+            "{s:?}"
+        );
+        for text in [value.to_string(), value.pretty()] {
+            assert_eq!(JsonValue::parse(&text).unwrap(), value, "{s:?}");
+        }
+        assert_eq!(JsonValue::parse(&keyed.pretty()).unwrap(), keyed, "{s:?}");
+    }
+
+    /// `len` filler bytes with `byte` at `at`.
+    fn with_byte_at(len: usize, at: usize, byte: u8) -> String {
+        let mut bytes = vec![b'x'; len];
+        bytes[at] = byte;
+        String::from_utf8(bytes).unwrap()
+    }
+
+    #[test]
+    fn every_ascii_byte_renders_like_the_reference_at_every_offset() {
+        // Positions 0..24 span three scanned words; the lengths put the
+        // byte at the very end, inside a whole word, and in the tail.
+        for byte in 0u8..0x80 {
+            for at in 0..24 {
+                for len in [at + 1, at + 2, 24, 27, 31] {
+                    if len > at {
+                        assert_renders_like_reference(&with_byte_at(len, at, byte));
+                    }
+                }
+            }
+        }
+        assert_renders_like_reference("");
+    }
+
+    #[test]
+    fn runs_of_quotes_and_backslashes_render_like_the_reference() {
+        for n in 0..20 {
+            for piece in ["\"", "\\", "\"\\", "a\"", "\\b", "\u{1}\""] {
+                let run = piece.repeat(n);
+                assert_renders_like_reference(&run);
+                assert_renders_like_reference(&format!("prefix{run}"));
+                assert_renders_like_reference(&format!("{run}suffix text"));
+            }
+        }
+    }
+
+    #[test]
+    fn multibyte_characters_straddling_words_render_like_the_reference() {
+        // 2-, 3- and 4-byte UTF-8 sequences at every start offset across a
+        // word boundary, alone and next to escapes.
+        for ch in ["é", "€", "𝄞"] {
+            for at in 0..17 {
+                let filler = "y".repeat(at);
+                for text in [
+                    format!("{filler}{ch}"),
+                    format!("{filler}{ch}\""),
+                    format!("{filler}\\{ch}\n{filler}"),
+                    format!("{filler}{ch}{ch}{ch}\u{7}"),
+                ] {
+                    assert_renders_like_reference(&text);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_random_strings_render_like_the_reference() {
+        // Escapes, plain ASCII and multibyte characters in random mixes
+        // and lengths.
+        let alphabet: Vec<char> = (0u8..0x80)
+            .map(char::from)
+            .chain(['é', 'ß', '€', '中', '𝄞', '\u{7f}', '\u{ff}'])
+            .collect();
+        let mut rng = crate::rng::DeterministicRng::seed_from(0x6a73_6f6e);
+        for _ in 0..2_000 {
+            let len = rng.index(70);
+            let text: String = (0..len)
+                .map(|_| {
+                    if rng.chance(0.7) {
+                        'z'
+                    } else {
+                        alphabet[rng.index(alphabet.len())]
+                    }
+                })
+                .collect();
+            assert_renders_like_reference(&text);
+        }
     }
 }

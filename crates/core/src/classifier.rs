@@ -182,16 +182,6 @@ impl LocalityClassifier {
         self.peak_tracked
     }
 
-    /// Resets the diagnostic counters to the baseline a classifier rebuilt
-    /// by [`LocalityClassifier::from_snapshot`] starts from (zero flips,
-    /// peak = current occupancy).  Checkpoint capture normalizes live
-    /// classifiers with this so in-memory and JSON-round-tripped
-    /// checkpoints restore identical state.
-    pub fn reset_diagnostics(&mut self) {
-        self.mode_flips = 0;
-        self.peak_tracked = self.entries.len();
-    }
-
     /// The replication threshold this classifier was built with.
     pub fn replication_threshold(&self) -> u32 {
         self.rt
@@ -219,17 +209,15 @@ impl LocalityClassifier {
     /// *first* inactive entry, so two classifiers with the same entries in
     /// a different order can behave differently.  Checkers that encode
     /// classifier state (the `lad-check` model exploration) must therefore
-    /// preserve this order.
-    pub fn snapshot(&self) -> Vec<TrackedCore> {
-        self.entries
-            .iter()
-            .map(|e| TrackedCore {
-                core: e.core,
-                mode: e.mode,
-                home_reuse: e.home_reuse.value(),
-                active: e.active,
-            })
-            .collect()
+    /// preserve this order.  It yields [`LocalityClassifier::tracked_count`]
+    /// items and allocates nothing, so a checkpoint encodes it in place.
+    pub fn snapshot(&self) -> impl Iterator<Item = TrackedCore> + '_ {
+        self.entries.iter().map(|e| TrackedCore {
+            core: e.core,
+            mode: e.mode,
+            home_reuse: e.home_reuse.value(),
+            active: e.active,
+        })
     }
 
     /// Rebuilds a classifier from a checkpointed [`LocalityClassifier::snapshot`],
@@ -783,7 +771,7 @@ mod tests {
         let rebuilt = LocalityClassifier::from_snapshot(
             ClassifierKind::Limited(2),
             c.replication_threshold(),
-            &c.snapshot(),
+            &c.snapshot().collect::<Vec<_>>(),
         );
         assert_eq!(rebuilt, c);
         // Replacement picks the same (first inactive) entry afterwards: the
@@ -801,7 +789,11 @@ mod tests {
         let mut c = limited(2, 3);
         c.on_home_read(core(0));
         c.on_home_read(core(1));
-        LocalityClassifier::from_snapshot(ClassifierKind::Limited(1), 3, &c.snapshot());
+        LocalityClassifier::from_snapshot(
+            ClassifierKind::Limited(1),
+            3,
+            &c.snapshot().collect::<Vec<_>>(),
+        );
     }
 
     #[test]
@@ -829,7 +821,7 @@ mod tests {
         let rebuilt = LocalityClassifier::from_snapshot(
             ClassifierKind::Limited(2),
             c.replication_threshold(),
-            &c.snapshot(),
+            &c.snapshot().collect::<Vec<_>>(),
         );
         assert_eq!(rebuilt, c);
         assert_eq!(rebuilt.mode_flips(), 0);

@@ -34,7 +34,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use lad_common::cli::{no_leftovers, parse_number, take_flag, take_switch};
+use lad_common::cli::{no_leftovers, parse_number, print_stdout, take_flag, take_switch};
 use lad_common::json::JsonValue;
 use lad_serve::client::{Client, RetryPolicy};
 use lad_serve::protocol::{JobSpec, SystemPreset, TraceSpec};
@@ -77,11 +77,12 @@ const POLL: Duration = Duration::from_millis(100);
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    match run(&mut args) {
+    let result = if args.iter().any(|a| a == "--help" || a == "-h") {
+        print_stdout(&format!("{USAGE}\n"))
+    } else {
+        run(&mut args)
+    };
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("lad-client: {message}");
@@ -90,27 +91,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Writes to stdout, exiting quietly when the consumer closed the pipe
-/// early — `lad-client ... | head` or `| grep -q` must not panic or fail
-/// the pipeline.  Any other stdout error is a real, reportable failure.
-fn print_stdout(text: &str) {
-    use std::io::Write as _;
-    let mut stdout = std::io::stdout().lock();
-    let result = stdout
-        .write_all(text.as_bytes())
-        .and_then(|()| stdout.flush());
-    if let Err(err) = result {
-        if err.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        eprintln!("lad-client: cannot write to stdout: {err}");
-        std::process::exit(1);
-    }
-}
-
 /// Prints a response frame and optionally writes it to `--json <PATH>`.
 fn emit(response: &JsonValue, json_path: Option<&str>) -> Result<(), String> {
-    print_stdout(&format!("{}\n", response.pretty()));
+    print_stdout(&format!("{}\n", response.pretty()))?;
     if let Some(path) = json_path {
         lad_common::fs::atomic_write(std::path::Path::new(path), response.pretty().as_bytes())
             .map_err(|err| format!("cannot write {path}: {err}"))?;
@@ -275,7 +258,7 @@ fn cmd_metrics(client: &mut Client, args: &mut Vec<String>) -> Result<(), String
             .get("prometheus")
             .and_then(JsonValue::as_str)
             .ok_or("metrics response is missing the prometheus exposition")?;
-        print_stdout(text);
+        print_stdout(text)?;
         if let Some(path) = json_path {
             lad_common::fs::atomic_write(std::path::Path::new(&path), response.pretty().as_bytes())
                 .map_err(|err| format!("cannot write {path}: {err}"))?;
@@ -307,7 +290,7 @@ fn cmd_watch(addr: &str, client: &mut Client, args: &mut Vec<String>) -> Result<
             screen.push_str("\x1b[H\x1b[J");
         }
         screen.push_str(&watch_screen(addr, &metrics, interval));
-        print_stdout(&screen);
+        print_stdout(&screen)?;
         drawn += 1;
         if count != 0 && drawn >= count {
             return Ok(());

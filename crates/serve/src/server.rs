@@ -240,7 +240,8 @@ struct ServiceMetrics {
     cell_queue_wait_us: LatencyHistogram,
     /// Wall clock of one cell execution (resume prefix excluded).
     cell_exec_us: LatencyHistogram,
-    /// Duration of one durable checkpoint spill.
+    /// Duration of one checkpoint spill: capture, encode and durable write
+    /// for a periodic spill, encode and write for a cancelled cell's.
     checkpoint_spill_us: LatencyHistogram,
     /// Request-handling latency, one histogram per verb in [`VERBS`].
     verb_latency: Vec<(&'static str, LatencyHistogram)>,
@@ -322,7 +323,7 @@ impl ServiceMetrics {
             ),
             checkpoint_spill_us: registry.histogram(
                 "lad_serve_checkpoint_spill_us",
-                "durable checkpoint spill duration in microseconds",
+                "checkpoint spill (capture, encode, durable write) duration in microseconds",
             ),
             verb_latency,
             registry,
@@ -1382,8 +1383,18 @@ impl RunObserver for CellObserver<'_> {
             // this exact boundary; the worker spills it.
             return RunControl::Cancel;
         }
+        // The spill clock covers capture, encode and the durable write.
+        let started = Instant::now();
         let checkpoint = run.checkpoint();
-        if write_checkpoint(self.shared, self.checkpoint_path, self.key, &checkpoint).is_ok() {
+        if write_checkpoint(
+            self.shared,
+            self.checkpoint_path,
+            self.key,
+            &checkpoint,
+            started,
+        )
+        .is_ok()
+        {
             self.progress.checkpointed.store(total, Ordering::Relaxed);
         }
         RunControl::Continue
@@ -1442,10 +1453,19 @@ fn run_cell(shared: &Shared, item: &WorkItem) -> Result<CellOutcome, String> {
             Ok(CellOutcome::Completed(report))
         }
         RunOutcome::Cancelled(checkpoint) => {
-            let _ = write_checkpoint(shared, &checkpoint_path, &item.key, &checkpoint);
-            item.progress
-                .checkpointed
-                .store(checkpoint.total_accesses, Ordering::Relaxed);
+            let written = write_checkpoint(
+                shared,
+                &checkpoint_path,
+                &item.key,
+                &checkpoint,
+                Instant::now(),
+            );
+            if written.is_ok() {
+                // The observer recorded the total it cancelled at, which is
+                // the boundary the engine captured this checkpoint at.
+                let total = item.progress.done.load(Ordering::Relaxed);
+                item.progress.checkpointed.store(total, Ordering::Relaxed);
+            }
             Ok(CellOutcome::Cancelled)
         }
     }
@@ -1453,16 +1473,17 @@ fn run_cell(shared: &Shared, item: &WorkItem) -> Result<CellOutcome, String> {
 
 /// Durably spills a checkpoint as a digest-sealed envelope (temp file +
 /// `fsync` + rename), consulting the fault injector at
-/// [`FaultSite::CheckpointSpill`].  Successful spills are counted and
-/// their duration recorded on the spill histogram.
+/// [`FaultSite::CheckpointSpill`].  Successful spills are counted and the
+/// time since `started` recorded on the spill histogram: the periodic
+/// spill starts that clock before it captures the checkpoint.
 fn write_checkpoint(
     shared: &Shared,
     path: &Path,
     key: &CacheKey,
     checkpoint: &EngineCheckpoint,
+    started: Instant,
 ) -> std::io::Result<()> {
     let body = JsonValue::object([("key", key.to_json()), ("checkpoint", checkpoint.to_json())]);
-    let started = Instant::now();
     durable::write_sealed(path, body, &shared.config.fault, FaultSite::CheckpointSpill)?;
     shared
         .metrics

@@ -1,13 +1,19 @@
-//! Mid-stream engine checkpoints: a plain-data snapshot of every piece of
-//! mutable simulator state plus the per-core stream cursor, with an exact
-//! binary encoding carried inside a JSON wrapper.
+//! Mid-stream engine checkpoints.  A checkpoint *is* its body: one binary
+//! blob holding every piece of mutable simulator state plus the per-core
+//! stream cursor, carried inside a JSON wrapper.
+//!
+//! There is one encoder and one decoder.  [`Simulator::capture_checkpoint`]
+//! encodes the live engine straight into the body — it reads each cache's
+//! occupied slots in place and copies no tile state — and
+//! [`EngineCheckpoint::decode`] turns a body back into the plain-data
+//! [`DecodedCheckpoint`] that resume validates and restores.
 //!
 //! Two things are deliberately **not** serialized:
 //!
 //! * the R-NUCA home map and the per-line data classes — both are rebuilt by
 //!   re-running the profiling pass on resume (`profile_access` is their only
 //!   writer and converges to the same state in any complete order), and
-//! * the per-core pending accesses — [`EngineCheckpoint::consumed`] counts
+//! * the per-core pending accesses — [`DecodedCheckpoint::consumed`] counts
 //!   the accesses each core has *stepped*, so resume fast-forwards each
 //!   core's stream by that many accesses and re-fetches the pending window
 //!   from the (deterministic) source.
@@ -15,11 +21,10 @@
 //! # Encoding
 //!
 //! [`EngineCheckpoint::to_json`] produces `{"format": 2, "bytes": "<hex>"}`:
-//! the body is one binary blob, hex-encoded ([`lad_common::hex`]) so the
-//! digest-sealed JSON envelope the service spills it in is unchanged.  The
-//! body is built from the LADT codecs of [`lad_traceio::varint`]: every
-//! integer is a LEB128 varint, and sorted sequences store zigzag deltas.
-//! Sections, in order:
+//! the body, hex-encoded ([`lad_common::hex`]) so the digest-sealed JSON
+//! envelope the service spills it in is unchanged.  The body is built from
+//! the LADT codecs of [`lad_traceio::varint`]: every integer is a LEB128
+//! varint, and sorted sequences store zigzag deltas.  Sections, in order:
 //!
 //! 1. **header** — benchmark and scheme (length-prefixed UTF-8), active
 //!    cores, RT, classifier capacity (`0` = Complete, `k + 1` = Limited_k);
@@ -46,7 +51,10 @@
 //! 10. **totals** — replicas created, back-invalidations, accesses, the
 //!     classifier variance totals, then one cursor per active core.
 //!
-//! The body must be consumed exactly; trailing bytes are an error.
+//! The body must be consumed exactly; trailing bytes are an error.  The
+//! per-entry classifier diagnostics are not in it: a restored classifier
+//! restarts at the `from_snapshot` baseline, and the capture-time totals of
+//! section 10 seed the simulator's retired accumulators instead.
 //!
 //! **Versioning.** A document whose `format` is not [`FORMAT`] — including
 //! every all-JSON checkpoint written before the binary body existed, and
@@ -57,11 +65,12 @@
 //! # Validation
 //!
 //! Checkpoints come from outside the process, so nothing in them may reach
-//! a panicking restore constructor.  [`EngineCheckpoint::from_json`] checks
-//! everything that needs no simulator geometry (sharer-list budgets and
-//! modes, owners tracked, unique classifier cores, counters ≤ RT, strictly
-//! ascending slots, nonzero stamps ≤ the LRU clock, positive open-run
-//! lengths, a non-zero RNG state, finite energies) and
+//! a panicking restore constructor.  [`EngineCheckpoint::decode`] (which
+//! [`EngineCheckpoint::from_json`] runs before it accepts a document)
+//! checks everything that needs no simulator geometry (sharer-list budgets
+//! and modes, owners tracked, unique classifier cores, counters ≤ RT,
+//! strictly ascending slots, nonzero stamps ≤ the LRU clock, positive
+//! open-run lengths, a non-zero RNG state, finite energies) and
 //! [`Simulator::resume_source`] checks the rest against the simulator
 //! before restoring anything: benchmark, cores, scheme, RT, classifier,
 //! tile/link/controller counts, and every slot inside its cache and in its
@@ -76,6 +85,7 @@ use lad_cache::CacheState;
 use lad_coherence::ackwise::AckwiseSharers;
 use lad_coherence::directory::DirectoryEntry;
 use lad_coherence::mesi::MesiState;
+use lad_common::collections::FastMap;
 use lad_common::json::JsonValue;
 use lad_common::stats::Histogram;
 use lad_common::types::{CacheLine, CoreId, Cycle, DataClass};
@@ -91,6 +101,7 @@ use lad_traceio::varint;
 use lad_traceio::TraceError;
 
 use crate::metrics::{ClassifierStats, LatencyBreakdown, MissBreakdown, RunLengthProfile};
+use crate::tile::Tile;
 
 #[cfg(doc)]
 use crate::Simulator;
@@ -99,7 +110,7 @@ use crate::Simulator;
 /// [`EngineCheckpoint::from_json`] accepts.
 pub const FORMAT: u64 = 2;
 
-/// Snapshot of one tile: core clock plus the three cache arrays.
+/// One decoded tile: core clock plus the three cache arrays.
 #[derive(Debug, Clone)]
 pub struct TileCheckpoint {
     /// The core's local clock.
@@ -112,13 +123,28 @@ pub struct TileCheckpoint {
     pub llc: CacheState<LlcEntry>,
 }
 
-/// A resumable mid-stream snapshot of a [`Simulator`].
+/// A resumable mid-stream snapshot of a [`Simulator`]: the binary body of
+/// the module docs, and nothing else.
 ///
 /// Captured by [`Simulator::capture_checkpoint`] at a scheduling-loop
 /// boundary; [`Simulator::resume_source`] continues the run from it with
-/// results byte-identical to never having stopped.
-#[derive(Debug, Clone)]
+/// results byte-identical to never having stopped.  Its contents are read
+/// through [`EngineCheckpoint::decode`].
+#[derive(Clone, PartialEq, Eq)]
 pub struct EngineCheckpoint {
+    body: Vec<u8>,
+}
+
+impl fmt::Debug for EngineCheckpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "EngineCheckpoint({} body bytes)", self.body.len())
+    }
+}
+
+/// A checkpoint body decoded into plain data — what resume validates
+/// against the simulator and restores.
+#[derive(Debug, Clone)]
+pub struct DecodedCheckpoint {
     /// Benchmark (stream) name — resume validates it against the source.
     pub benchmark: String,
     /// Cores the stream spans.
@@ -162,6 +188,32 @@ pub struct EngineCheckpoint {
     /// Accesses each core has stepped — the stream cursor used to
     /// fast-forward the source on resume.
     pub consumed: Vec<u64>,
+}
+
+/// The live engine state a checkpoint encodes, borrowed from the
+/// [`Simulator`] at a scheduling-loop boundary.
+pub(crate) struct LiveEngine<'a> {
+    pub(crate) benchmark: &'a str,
+    pub(crate) num_cores: usize,
+    pub(crate) scheme: &'a str,
+    pub(crate) replication_threshold: u32,
+    pub(crate) classifier_capacity: Option<usize>,
+    pub(crate) tiles: &'a [Tile],
+    pub(crate) network: NetworkState,
+    pub(crate) dram: Vec<DramControllerState>,
+    pub(crate) rng: [u64; 4],
+    pub(crate) energy: &'a EnergyAccounting,
+    pub(crate) latency: LatencyBreakdown,
+    pub(crate) misses: MissBreakdown,
+    pub(crate) run_lengths: &'a RunLengthProfile,
+    pub(crate) line_busy_until: &'a FastMap<CacheLine, Cycle>,
+    pub(crate) replicas_created: u64,
+    pub(crate) back_invalidations: u64,
+    pub(crate) total_accesses: u64,
+    /// Classifier variance folded in from evicted home entries; the
+    /// encoder adds the live entries' in its walk of the LLC slices.
+    pub(crate) retired_classifier: ClassifierStats,
+    pub(crate) consumed: &'a [u64],
 }
 
 /// Why [`Simulator::resume_source`] could not continue a run.
@@ -285,16 +337,28 @@ fn put_histogram(out: &mut Vec<u8>, samples: &[(u64, u64)]) {
     }
 }
 
-fn put_cache<V>(out: &mut Vec<u8>, state: &CacheState<V>, entry: impl Fn(&mut Vec<u8>, &V)) {
-    put(out, state.clock);
-    put(out, state.slots.len() as u64);
-    let (mut slot_at, mut tag_at) = (0, 0);
-    for (slot, tag, stamp, value) in &state.slots {
-        put_delta(out, &mut slot_at, *slot as u64);
-        put_delta(out, &mut tag_at, *tag);
-        put(out, *stamp);
+/// Appends one cache: its LRU clock, then its `len` occupied slots.
+fn put_cache<'v, V: 'v>(
+    out: &mut Vec<u8>,
+    clock: u64,
+    len: usize,
+    slots: impl Iterator<Item = (usize, u64, u64, &'v V)>,
+    mut entry: impl FnMut(&mut Vec<u8>, &V),
+) {
+    put(out, clock);
+    put(out, len as u64);
+    let (mut slot_at, mut tag_at, mut written) = (0, 0, 0);
+    for (slot, tag, stamp, value) in slots {
+        put_delta(out, &mut slot_at, slot as u64);
+        put_delta(out, &mut tag_at, tag);
+        put(out, stamp);
         entry(out, value);
+        written += 1;
     }
+    debug_assert_eq!(
+        written, len,
+        "a cache yielded a slot count other than its len"
+    );
 }
 
 fn put_llc_entry(out: &mut Vec<u8>, entry: &LlcEntry) {
@@ -317,9 +381,8 @@ fn put_llc_entry(out: &mut Vec<u8>, entry: &LlcEntry) {
             if sharers.is_global() {
                 put(out, sharers.count() as u64);
             }
-            let classifier = home.classifier.snapshot();
-            put(out, classifier.len() as u64);
-            for tracked in classifier {
+            put(out, home.classifier.tracked_count() as u64);
+            for tracked in home.classifier.snapshot() {
                 put(out, tracked.core.index() as u64);
                 out.push(
                     bit(tracked.mode.allows_replica(), MODE_REPLICA) | bit(tracked.active, ACTIVE),
@@ -340,44 +403,65 @@ fn put_llc_entry(out: &mut Vec<u8>, entry: &LlcEntry) {
 }
 
 impl EngineCheckpoint {
-    /// The binary body described in the module docs.
-    fn encode(&self) -> Vec<u8> {
+    /// Encodes the live engine into the body of the module docs — the only
+    /// encoder.  Each cache is read in place through its borrowing
+    /// `slots`, and the classifier totals of section 10 are summed in the
+    /// same walk of the LLC slices.
+    pub(crate) fn capture(live: &LiveEngine<'_>) -> Self {
         let mut out = Vec::new();
-        put_str(&mut out, &self.benchmark);
-        put(&mut out, self.num_cores as u64);
-        put_str(&mut out, &self.scheme);
-        put(&mut out, u64::from(self.replication_threshold));
+        put_str(&mut out, live.benchmark);
+        put(&mut out, live.num_cores as u64);
+        put_str(&mut out, live.scheme);
+        put(&mut out, u64::from(live.replication_threshold));
         put(
             &mut out,
-            self.classifier_capacity.map_or(0, |k| k as u64 + 1),
+            live.classifier_capacity.map_or(0, |k| k as u64 + 1),
         );
 
-        put(&mut out, self.tiles.len() as u64);
-        for tile in &self.tiles {
+        let mut classifier = live.retired_classifier;
+        put(&mut out, live.tiles.len() as u64);
+        for tile in live.tiles {
             put(&mut out, tile.clock.value());
             for l1 in [&tile.l1i, &tile.l1d] {
-                put_cache(&mut out, l1, |out, state| out.push(mesi_byte(*state)));
+                put_cache(&mut out, l1.clock(), l1.len(), l1.slots(), |out, state| {
+                    out.push(mesi_byte(*state));
+                });
             }
-            put_cache(&mut out, &tile.llc, put_llc_entry);
+            let llc = &tile.llc;
+            put_cache(
+                &mut out,
+                llc.clock(),
+                llc.len(),
+                llc.slots(),
+                |out, entry| {
+                    if let LlcEntry::Home(home) = entry {
+                        classifier.mode_flips += home.classifier.mode_flips();
+                        classifier.peak_tracked = classifier
+                            .peak_tracked
+                            .max(home.classifier.peak_tracked() as u64);
+                    }
+                    put_llc_entry(out, entry);
+                },
+            );
         }
 
-        let network = &self.network;
+        let network = &live.network;
         put(&mut out, network.links.len() as u64);
         put_all(&mut out, network.links.iter().map(|busy| busy.value()));
         put_all(&mut out, [network.flit_hops, network.router_traversals]);
-        put(&mut out, self.dram.len() as u64);
-        for controller in &self.dram {
+        put(&mut out, live.dram.len() as u64);
+        for controller in &live.dram {
             put_all(&mut out, [controller.free_at.value(), controller.accesses]);
         }
 
-        for word in self.rng {
+        for word in live.rng {
             out.extend_from_slice(&word.to_le_bytes());
         }
-        for (_, pj) in self.energy.iter() {
+        for (_, pj) in live.energy.iter() {
             out.extend_from_slice(&pj.to_bits().to_le_bytes());
         }
-        put_all(&mut out, self.latency.values());
-        let misses = &self.misses;
+        put_all(&mut out, live.latency.values());
+        let misses = &live.misses;
         put_all(
             &mut out,
             [
@@ -388,13 +472,13 @@ impl EngineCheckpoint {
             ],
         );
 
-        let histograms = self.run_lengths.histograms();
+        let histograms = live.run_lengths.histograms();
         put(&mut out, histograms.len() as u64);
         for (class, histogram) in histograms {
             out.push(class_byte(*class));
             put_histogram(&mut out, &histogram.iter().collect::<Vec<_>>());
         }
-        let open_runs = self.run_lengths.open_runs();
+        let open_runs = live.run_lengths.open_runs();
         put(&mut out, open_runs.len() as u64);
         let mut line_at = 0;
         for (line, core, count, class) in open_runs {
@@ -402,9 +486,15 @@ impl EngineCheckpoint {
             put_all(&mut out, [core.index() as u64, count]);
             out.push(class_byte(class));
         }
-        put(&mut out, self.line_busy_until.len() as u64);
+        let mut busy: Vec<(CacheLine, Cycle)> = live
+            .line_busy_until
+            .iter()
+            .map(|(line, cycle)| (*line, *cycle))
+            .collect();
+        busy.sort_unstable_by_key(|(line, _)| *line);
+        put(&mut out, busy.len() as u64);
         let mut line_at = 0;
-        for (line, cycle) in &self.line_busy_until {
+        for (line, cycle) in busy {
             put_delta(&mut out, &mut line_at, line.index());
             put(&mut out, cycle.value());
         }
@@ -412,39 +502,39 @@ impl EngineCheckpoint {
         put_all(
             &mut out,
             [
-                self.replicas_created,
-                self.back_invalidations,
-                self.total_accesses,
-                self.classifier.mode_flips,
-                self.classifier.peak_tracked,
+                live.replicas_created,
+                live.back_invalidations,
+                live.total_accesses,
+                classifier.mode_flips,
+                classifier.peak_tracked,
             ],
         );
-        put_all(&mut out, self.consumed.iter().copied());
-        out
+        put_all(&mut out, live.consumed.iter().copied());
+        EngineCheckpoint { body: out }
     }
 
-    /// The checkpoint as `{"format": 2, "bytes": "<hex>"}` — the binary
-    /// body of the module docs, hex-encoded.  Round-trips exactly through
+    /// The checkpoint as `{"format": 2, "bytes": "<hex>"}` — the body,
+    /// hex-encoded.  Round-trips exactly through
     /// [`EngineCheckpoint::from_json`].
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object([
             ("format", JsonValue::from(FORMAT)),
             (
                 "bytes",
-                JsonValue::from(lad_common::hex::encode(&self.encode())),
+                JsonValue::from(lad_common::hex::encode(&self.body)),
             ),
         ])
     }
 
-    /// Rebuilds a checkpoint from [`EngineCheckpoint::to_json`] output,
-    /// validating everything that needs no simulator geometry (see the
-    /// module docs); the rest is checked by [`Simulator::resume_source`].
+    /// Reads a checkpoint from [`EngineCheckpoint::to_json`] output and
+    /// accepts it only if its body decodes, so every geometry-free check of
+    /// the module docs has passed; the rest is checked by
+    /// [`Simulator::resume_source`].
     ///
     /// # Errors
     ///
     /// Returns a description of the first problem: a missing or unknown
-    /// `format`, bad hex, a truncated or overlong body, or state that
-    /// violates a protocol invariant.
+    /// `format`, bad hex, or any error of [`EngineCheckpoint::decode`].
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
         match value.get("format").and_then(JsonValue::as_u64) {
             Some(FORMAT) => {}
@@ -455,15 +545,28 @@ impl EngineCheckpoint {
             .get("bytes")
             .and_then(JsonValue::as_str)
             .ok_or("checkpoint has no \"bytes\" hex string")?;
-        let bytes =
+        let body =
             lad_common::hex::decode(text).map_err(|err| format!("checkpoint bytes: {err}"))?;
+        let checkpoint = EngineCheckpoint { body };
+        checkpoint.decode()?;
+        Ok(checkpoint)
+    }
+
+    /// Decodes the body into plain data, validating everything that needs
+    /// no simulator geometry (see the module docs) — the only decoder.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first problem: a truncated or overlong
+    /// body, or state that violates a protocol invariant.
+    pub fn decode(&self) -> Result<DecodedCheckpoint, String> {
         let mut body = Body {
-            bytes: &bytes,
+            bytes: &self.body,
             pos: 0,
             tiles: 0,
         };
         let checkpoint = body.checkpoint()?;
-        match bytes.len() - body.pos {
+        match self.body.len() - body.pos {
             0 => Ok(checkpoint),
             extra => Err(format!("checkpoint body has {extra} trailing bytes")),
         }
@@ -706,7 +809,7 @@ impl Body<'_> {
         }))
     }
 
-    fn checkpoint(&mut self) -> Result<EngineCheckpoint, String> {
+    fn checkpoint(&mut self) -> Result<DecodedCheckpoint, String> {
         let benchmark = self.str("benchmark name")?;
         let num_cores: usize = self.int("active cores")?;
         let scheme = self.str("scheme label")?;
@@ -816,7 +919,7 @@ impl Body<'_> {
             ))
         })?;
 
-        Ok(EngineCheckpoint {
+        Ok(DecodedCheckpoint {
             benchmark,
             num_cores,
             scheme,
@@ -858,6 +961,7 @@ mod tests {
     use crate::engine::{RunOutcome, StopAfter};
     use crate::Simulator;
     use lad_common::config::SystemConfig;
+    use lad_common::types::{Address, MemoryAccess};
     use lad_replication::config::ReplicationConfig;
     use lad_trace::benchmarks::Benchmark;
     use lad_trace::generator::{TraceGenerator, WorkloadTrace};
@@ -908,14 +1012,40 @@ mod tests {
         let text = json.pretty();
         let reparsed = JsonValue::parse(&text).unwrap();
         assert_eq!(reparsed, json);
-        let decoded = EngineCheckpoint::from_json(&reparsed).unwrap();
-        // Re-encoding the decoded checkpoint must reproduce the document
-        // byte-for-byte: the body is canonical (sorted open runs and busy
-        // lines, raw RNG words and energy bits), so equality here covers
-        // every field — cache slots, RNG words, energy totals, cursors.
-        assert_eq!(decoded.to_json().pretty(), text);
-        assert_eq!(decoded.consumed, checkpoint.consumed);
-        assert_eq!(decoded.total_accesses, checkpoint.total_accesses);
+        // A checkpoint is its body, so the reloaded one is the same bytes.
+        let reloaded = EngineCheckpoint::from_json(&reparsed).unwrap();
+        assert_eq!(reloaded, checkpoint);
+        assert_eq!(reloaded.to_json().pretty(), text);
+        let decoded = reloaded.decode().unwrap();
+        assert_eq!(decoded.total_accesses, 200);
+        assert_eq!(decoded.consumed.iter().sum::<u64>(), 200);
+        assert_eq!(decoded.benchmark, "BARNES");
+    }
+
+    #[test]
+    fn a_restored_body_is_captured_again_byte_for_byte() {
+        // Capture after restore reproduces the body a straight run would
+        // carry: a run resumed from a cut and stopped again holds the same
+        // bytes as an uninterrupted run stopped at the same access.  That
+        // covers every section, including the classifier totals that the
+        // restored classifiers' reset diagnostics must not disturb.
+        let trace = trace(300);
+        for config in [
+            ReplicationConfig::locality_aware(3),
+            ReplicationConfig::asr(0.5),
+            ReplicationConfig::victim_replication(),
+        ] {
+            let new_sim = || Simulator::new(SystemConfig::small_test(), config.clone());
+            let straight = checkpoint_after(&mut new_sim(), &trace, 3_000);
+            let first = checkpoint_after(&mut new_sim(), &trace, 1_200);
+            let mut source = MemorySource::new(&trace);
+            let mut stop = StopAfter::new(1_800);
+            let resumed = match new_sim().resume_source(&mut source, &first, Some(&mut stop)) {
+                Ok(RunOutcome::Cancelled(checkpoint)) => *checkpoint,
+                other => panic!("expected a cancelled resume, got {other:?}"),
+            };
+            assert!(resumed == straight, "{}", config.label());
+        }
     }
 
     #[test]
@@ -1020,15 +1150,44 @@ mod tests {
     fn hex_encoding_preserves_full_range_words() {
         // RNG words and line indices use the full u64 range, beyond the
         // 2^53 a JSON number holds exactly; the hex-carried body keeps them.
-        let mut checkpoint = captured_checkpoint();
-        let words = [u64::MAX, 1 << 53, 0xdead_beef_cafe_f00d, 1];
-        checkpoint.rng = words;
-        checkpoint
+        // Setting bit 62 of every address puts every line index at 2^56 or
+        // above.
+        const HIGH: u64 = 1 << 62;
+        let low = trace(40);
+        let lifted = WorkloadTrace::new(
+            low.name(),
+            (0..low.num_cores())
+                .map(|core| {
+                    low.core_stream(CoreId::new(core))
+                        .iter()
+                        .map(|access| MemoryAccess {
+                            address: Address::new(access.address.value() | HIGH),
+                            ..*access
+                        })
+                        .collect()
+                })
+                .collect(),
+        );
+        let mut sim = Simulator::new(
+            SystemConfig::small_test(),
+            ReplicationConfig::locality_aware(3),
+        );
+        let checkpoint = checkpoint_after(&mut sim, &lifted, 300);
+        let text = checkpoint.to_json().pretty();
+        let reloaded = EngineCheckpoint::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+        assert_eq!(reloaded, checkpoint);
+        let decoded = reloaded.decode().unwrap();
+        assert!(decoded.rng.iter().any(|&word| word > 1 << 53));
+        assert!(!decoded.line_busy_until.is_empty());
+        let lifted_line = |line: CacheLine| line.index() >> 56 == 1;
+        assert!(decoded
             .line_busy_until
-            .push((CacheLine::from_index(u64::MAX), Cycle::new(u64::MAX)));
-        let decoded = EngineCheckpoint::from_json(&checkpoint.to_json()).unwrap();
-        assert_eq!(decoded.rng, words);
-        assert_eq!(decoded.line_busy_until, checkpoint.line_busy_until);
-        assert_eq!(decoded.to_json().pretty(), checkpoint.to_json().pretty());
+            .iter()
+            .all(|&(line, _)| lifted_line(line)));
+        assert!(decoded
+            .run_lengths
+            .open_runs()
+            .iter()
+            .all(|&(line, ..)| lifted_line(line)));
     }
 }

@@ -31,7 +31,7 @@ use lad_trace::generator::WorkloadTrace;
 use lad_traceio::error::TraceError;
 use lad_traceio::source::{MemorySource, TraceSource};
 
-use crate::checkpoint::{EngineCheckpoint, ResumeError, TileCheckpoint};
+use crate::checkpoint::{DecodedCheckpoint, EngineCheckpoint, LiveEngine, ResumeError};
 use crate::metrics::{
     ClassifierStats, LatencyBreakdown, MissBreakdown, RunLengthProfile, SimulationReport,
 };
@@ -654,7 +654,7 @@ impl Simulator {
     /// The home map and per-line data classes are rebuilt by re-running the
     /// profiling pass (their final state is order-independent and they never
     /// change after profiling); each core's stream is then fast-forwarded by
-    /// its [`EngineCheckpoint::consumed`] cursor and the scheduling loop
+    /// its [`DecodedCheckpoint::consumed`] cursor and the scheduling loop
     /// continues — rebuilding the scheduler heap from the restored clocks
     /// reproduces the continuation schedule exactly, because the next core
     /// is always the minimum `(clock, core)` key over the pending set.
@@ -662,7 +662,8 @@ impl Simulator {
     /// # Errors
     ///
     /// [`ResumeError::Rejected`] — before any state is touched — if the
-    /// checkpoint does not fit the source (benchmark name, core count) or
+    /// checkpoint does not decode ([`EngineCheckpoint::decode`]), or does
+    /// not fit the source (benchmark name, core count) or
     /// this simulator (scheme label, replication threshold, classifier
     /// organization, tile, link and controller counts, cache geometry); after
     /// the profiling pass if the restored state violates the protocol
@@ -683,12 +684,13 @@ impl Simulator {
                 limit: self.system.num_cores,
             }));
         }
-        self.check_checkpoint_fits(checkpoint, &name, num_cores)
+        let checkpoint = checkpoint.decode().map_err(ResumeError::Rejected)?;
+        self.check_checkpoint_fits(&checkpoint, &name, num_cores)
             .map_err(ResumeError::Rejected)?;
         self.begin(&name, num_cores);
         self.profile_source(source)?;
         source.rewind()?;
-        self.restore_from_checkpoint(checkpoint);
+        let consumed = self.restore_from_checkpoint(checkpoint);
         if let Some(violation) = self.check_protocol_invariants().first() {
             return Err(ResumeError::Rejected(format!(
                 "restored state violates [{}]: {}",
@@ -698,7 +700,7 @@ impl Simulator {
         // Fast-forward every core's stream past the accesses it has already
         // stepped; the remaining per-core suffixes are exactly the pending
         // windows the interrupted loop still had to execute.
-        for (core, &cursor) in checkpoint.consumed.iter().enumerate() {
+        for (core, &cursor) in consumed.iter().enumerate() {
             for _ in 0..cursor {
                 if source.next_for_core(CoreId::new(core))?.is_none() {
                     return Err(ResumeError::Rejected(format!(
@@ -707,16 +709,16 @@ impl Simulator {
                 }
             }
         }
-        Ok(self.execute_source(source, num_cores, checkpoint.consumed.clone(), observer)?)
+        Ok(self.execute_source(source, num_cores, consumed, observer)?)
     }
 
     /// The checks [`Simulator::resume_source`] makes against the source and
     /// this simulator before restoring anything; together with the
-    /// geometry-free checks of [`EngineCheckpoint::from_json`] they keep
+    /// geometry-free checks of [`EngineCheckpoint::decode`] they keep
     /// every restore constructor below from panicking.
     fn check_checkpoint_fits(
         &self,
-        checkpoint: &EngineCheckpoint,
+        checkpoint: &DecodedCheckpoint,
         benchmark: &str,
         num_cores: usize,
     ) -> Result<(), String> {
@@ -889,7 +891,8 @@ impl Simulator {
         Ok(RunOutcome::Completed(Box::new(self.report())))
     }
 
-    /// Snapshots every piece of mutable state into an [`EngineCheckpoint`].
+    /// Encodes every piece of mutable state straight into an
+    /// [`EngineCheckpoint`] body, reading the caches in place.
     ///
     /// `consumed` is the per-core count of accesses already stepped — the
     /// stream cursor [`Simulator::resume_source`] fast-forwards by.  The
@@ -906,80 +909,53 @@ impl Simulator {
             self.active_cores,
             "one cursor per active core required"
         );
-        let mut line_busy_until: Vec<(CacheLine, Cycle)> = self
-            .line_busy_until
-            .iter()
-            .map(|(line, cycle)| (*line, *cycle))
-            .collect();
-        line_busy_until.sort_unstable_by_key(|(line, _)| *line);
-        EngineCheckpoint {
-            benchmark: self.benchmark.clone(),
+        EngineCheckpoint::capture(&LiveEngine {
+            benchmark: &self.benchmark,
             num_cores: self.active_cores,
-            scheme: self.label.clone(),
+            scheme: &self.label,
             replication_threshold: self.replication.replication_threshold(),
             classifier_capacity: self.replication.classifier.capacity(),
-            tiles: self
-                .tiles
-                .iter()
-                .map(|tile| {
-                    let mut llc = tile.llc.state();
-                    // Normalize classifier diagnostics to the baseline
-                    // from_snapshot restores to, so resuming from this
-                    // in-memory checkpoint and from its JSON round-trip
-                    // restore identical state.  The capture-time totals are
-                    // preserved in classifier_mode_flips/_peak_tracked.
-                    for (_, _, _, entry) in &mut llc.slots {
-                        if let LlcEntry::Home(home) = entry {
-                            home.classifier.reset_diagnostics();
-                        }
-                    }
-                    TileCheckpoint {
-                        clock: tile.clock,
-                        l1i: tile.l1i.state(),
-                        l1d: tile.l1d.state(),
-                        llc,
-                    }
-                })
-                .collect(),
+            tiles: &self.tiles,
             network: self.network.state(),
             dram: self.dram.state(),
             rng: self.rng.state(),
-            energy: self.energy.clone(),
+            energy: &self.energy,
             latency: self.latency,
             misses: self.misses,
-            run_lengths: self.run_lengths.clone(),
-            line_busy_until,
+            run_lengths: &self.run_lengths,
+            line_busy_until: &self.line_busy_until,
             replicas_created: self.replicas_created,
             back_invalidations: self.back_invalidations,
             total_accesses: self.total_accesses,
-            classifier: self.classifier_stats(),
-            consumed: consumed.to_vec(),
-        }
+            retired_classifier: ClassifierStats {
+                mode_flips: self.retired_classifier_flips,
+                peak_tracked: self.retired_classifier_peak,
+            },
+            consumed,
+        })
     }
 
-    /// Restores every piece of mutable state from a checkpoint that
-    /// [`Simulator::check_checkpoint_fits`] accepted.  Called after
-    /// [`Simulator::begin`] and the profiling pass — the home map and
-    /// per-line classes are rebuilt by profiling, not restored (see
-    /// [`EngineCheckpoint`]).
-    fn restore_from_checkpoint(&mut self, checkpoint: &EngineCheckpoint) {
-        for (tile, snapshot) in self.tiles.iter_mut().zip(&checkpoint.tiles) {
+    /// Restores every piece of mutable state from a decoded checkpoint that
+    /// [`Simulator::check_checkpoint_fits`] accepted, and returns its
+    /// stream cursor.  Called after [`Simulator::begin`] and the profiling
+    /// pass — the home map and per-line classes are rebuilt by profiling,
+    /// not restored (see the [`checkpoint`](crate::checkpoint) module).
+    fn restore_from_checkpoint(&mut self, checkpoint: DecodedCheckpoint) -> Vec<u64> {
+        for (tile, snapshot) in self.tiles.iter_mut().zip(checkpoint.tiles) {
             tile.clock = snapshot.clock;
-            tile.l1i.restore_state(&snapshot.l1i);
-            tile.l1d.restore_state(&snapshot.l1d);
-            tile.llc.restore_state(&snapshot.llc);
+            tile.l1i.restore_state(snapshot.l1i);
+            tile.l1d.restore_state(snapshot.l1d);
+            tile.llc.restore_state(snapshot.llc);
         }
         self.network.restore_state(&checkpoint.network);
         self.dram.restore_state(&checkpoint.dram);
         self.rng = DeterministicRng::from_state(checkpoint.rng);
-        self.energy = checkpoint.energy.clone();
+        self.energy = checkpoint.energy;
         self.latency = checkpoint.latency;
         self.misses = checkpoint.misses;
-        self.run_lengths = checkpoint.run_lengths.clone();
+        self.run_lengths = checkpoint.run_lengths;
         self.line_busy_until.clear();
-        for (line, cycle) in &checkpoint.line_busy_until {
-            self.line_busy_until.insert(*line, *cycle);
-        }
+        self.line_busy_until.extend(checkpoint.line_busy_until);
         self.replicas_created = checkpoint.replicas_created;
         self.back_invalidations = checkpoint.back_invalidations;
         self.total_accesses = checkpoint.total_accesses;
@@ -989,6 +965,7 @@ impl Simulator {
         // run's numbers exactly (the post-capture deltas are identical).
         self.retired_classifier_flips = checkpoint.classifier.mode_flips;
         self.retired_classifier_peak = checkpoint.classifier.peak_tracked;
+        checkpoint.consumed
     }
 
     /// Checks the live engine state against the shared `lad-check` invariant
@@ -1979,15 +1956,15 @@ mod tests {
                 Ok(RunOutcome::Cancelled(checkpoint)) => checkpoint,
                 other => panic!("{scheme}: expected cancellation, got {other:?}"),
             };
-            assert_eq!(checkpoint.total_accesses, 6000);
-            assert_eq!(checkpoint.consumed.iter().sum::<u64>(), 6000);
-
             // Spill as the service does, then resume elsewhere.
             let spilled = checkpoint.to_json().pretty();
             let reloaded =
                 EngineCheckpoint::from_json(&lad_common::json::JsonValue::parse(&spilled).unwrap())
                     .unwrap();
-            for (_, _, _, entry) in reloaded.tiles.iter().flat_map(|tile| &tile.llc.slots) {
+            let decoded = reloaded.decode().unwrap();
+            assert_eq!(decoded.total_accesses, 6000);
+            assert_eq!(decoded.consumed.iter().sum::<u64>(), 6000);
+            for (_, _, _, entry) in decoded.tiles.iter().flat_map(|tile| &tile.llc.slots) {
                 match entry {
                     LlcEntry::Replica(_) => replicas += 1,
                     LlcEntry::Home(home) => {

@@ -44,7 +44,7 @@ pub mod metrics;
 pub mod schedule;
 pub mod tile;
 
-pub use checkpoint::{EngineCheckpoint, ResumeError, TileCheckpoint};
+pub use checkpoint::{DecodedCheckpoint, EngineCheckpoint, ResumeError, TileCheckpoint};
 pub use engine::{
     AccessOutcome, RunControl, RunObserver, RunOutcome, RunProgress, ServedBy, Simulator, StopAfter,
 };

@@ -39,7 +39,7 @@ fn interleaved_home_lines_reach_only_one_nth_of_their_slices_sets() {
     let consumed: Vec<u64> = (0..tiles)
         .map(|core| trace.core_stream(CoreId::new(core)).len() as u64)
         .collect();
-    let checkpoint = sim.capture_checkpoint(&consumed);
+    let checkpoint = sim.capture_checkpoint(&consumed).decode().unwrap();
 
     let mut home_lines = 0;
     for (slice, tile) in checkpoint.tiles.iter().enumerate() {

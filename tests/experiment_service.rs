@@ -495,7 +495,10 @@ fn killed_server_resumes_from_checkpoint_not_access_zero() {
     // Checkpoints are digest-sealed envelopes: { digest, body: { key, checkpoint } }.
     let spill = JsonValue::parse(&std::fs::read_to_string(&spills[0]).unwrap()).unwrap();
     let body = spill.get("body").expect("checkpoint spill is sealed");
-    let checkpoint = EngineCheckpoint::from_json(body.get("checkpoint").unwrap()).unwrap();
+    let checkpoint = EngineCheckpoint::from_json(body.get("checkpoint").unwrap())
+        .unwrap()
+        .decode()
+        .unwrap();
     assert!(
         checkpoint.total_accesses >= 250,
         "checkpoint must cover at least one interval, covers {}",

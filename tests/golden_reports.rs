@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use locality_replication::cache::llc_slice::LlcReplacementPolicy;
 use locality_replication::prelude::*;
+use locality_replication::sim::{RunOutcome, StopAfter};
 use locality_replication::trace::generator::WorkloadTrace;
 use locality_replication::traceio::digest::{fnv1a, FNV_OFFSET_BASIS};
 
@@ -231,6 +232,122 @@ fn registry_and_figure_variant_cells_report_their_golden_digests() {
         actual
             .iter()
             .map(|(name, digest)| format!("(\"{name}\", {digest:#018x}),"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
+/// Accesses stepped before each checkpoint cut of the 16-core trace: one
+/// early, one late in its 9 600 accesses.
+const CUTS: [u64; 2] = [2_500, 7_000];
+
+/// `(cell, cut, FNV-1a 64 of checkpoint.to_json().to_string())`: every
+/// [`SchemeComparison::SCHEME_ORDER`] column and RT-3 with the Complete
+/// classifier on the 16-core trace at both [`CUTS`], then the PATRICIA cut
+/// of [`patricia_cut`].  These pin the checkpoint body byte for byte, so a
+/// change to how checkpoints are captured or encoded that claims to keep
+/// the format must pass this table unedited.
+const GOLDEN_CHECKPOINTS: [(&str, u64, u64); 17] = [
+    ("S-NUCA", 2_500, 0xd54c_2f19_80b8_4618),
+    ("S-NUCA", 7_000, 0xe228_251f_a990_4e7c),
+    ("R-NUCA", 2_500, 0xbe07_479e_3da9_5a44),
+    ("R-NUCA", 7_000, 0x0113_1e8f_5e09_27fd),
+    ("VR", 2_500, 0xfa66_89a7_74d6_993a),
+    ("VR", 7_000, 0xe242_2848_4301_6812),
+    ("ASR", 2_500, 0x8164_2997_e76b_fcdc),
+    ("ASR", 7_000, 0xf03d_955e_47ca_3834),
+    ("RT-1", 2_500, 0x7e42_c8cc_742f_9b57),
+    ("RT-1", 7_000, 0xff4a_19fd_dbae_80f2),
+    ("RT-3", 2_500, 0xd5df_e64f_6738_91a2),
+    ("RT-3", 7_000, 0xac06_dc1a_29d4_4a1b),
+    ("RT-8", 2_500, 0xe46a_4df9_905c_3ddf),
+    ("RT-8", 7_000, 0x03ee_32a2_7dcf_bdb8),
+    ("RT-3 Complete", 2_500, 0x367c_ae73_e9eb_087d),
+    ("RT-3 Complete", 7_000, 0x0311_84a5_13f5_5b52),
+    ("PATRICIA RT-3", 6_000, 0x385d_9fd4_55b1_95c7),
+];
+
+/// Runs `trace` on `sim` until `cut` accesses have stepped and returns the
+/// digest of the checkpoint the cancelled run carries.
+fn checkpoint_digest(sim: &mut Simulator, trace: &WorkloadTrace, cut: u64) -> u64 {
+    let mut source = MemorySource::new(trace);
+    let mut stop = StopAfter::new(cut);
+    match sim.run_source_observed(&mut source, Some(&mut stop)) {
+        Ok(RunOutcome::Cancelled(checkpoint)) => fnv1a(
+            FNV_OFFSET_BASIS,
+            checkpoint.to_json().to_string().as_bytes(),
+        ),
+        other => panic!("expected a cancelled run at {cut}, got {other:?}"),
+    }
+}
+
+/// PATRICIA's widely read lines overflow ACKwise₄ into broadcast mode, and
+/// its homes fill Limited₃ classifiers: the cut holds both, as the returned
+/// simulator's protocol view shows.
+fn patricia_cut() -> (Simulator, WorkloadTrace) {
+    let trace = TraceGenerator::new(Benchmark::Patricia.profile()).generate(16, 600, SEED);
+    let sim = Simulator::new(
+        SystemConfig::small_test(),
+        ReplicationConfig::locality_aware(3),
+    );
+    (sim, trace)
+}
+
+#[test]
+fn checkpoints_at_fixed_cuts_match_their_golden_digests() {
+    let cores = 16;
+    let trace = trace(cores);
+    let mut actual = Vec::new();
+    for scheme in SchemeComparison::SCHEME_ORDER {
+        for cut in CUTS {
+            let mut sim = Simulator::new(system(cores), config_for(scheme));
+            actual.push((
+                scheme.label(),
+                cut,
+                checkpoint_digest(&mut sim, &trace, cut),
+            ));
+        }
+    }
+    let complete = ReplicationConfig::locality_aware(3).with_classifier(ClassifierKind::Complete);
+    for cut in CUTS {
+        let mut sim = Simulator::new(system(cores), complete.clone());
+        let digest = checkpoint_digest(&mut sim, &trace, cut);
+        actual.push(("RT-3 Complete".to_string(), cut, digest));
+    }
+
+    let (mut sim, patricia) = patricia_cut();
+    let digest = checkpoint_digest(&mut sim, &patricia, 6_000);
+    actual.push(("PATRICIA RT-3".to_string(), 6_000, digest));
+    let view = sim.protocol_view();
+    let view = &view;
+    let homes: Vec<_> = view
+        .lines()
+        .into_iter()
+        .flat_map(|line| {
+            (0..view.num_cores()).filter_map(move |slice| view.home_at(line, CoreId::new(slice)))
+        })
+        .collect();
+    assert!(
+        homes.iter().any(|home| home.global),
+        "the PATRICIA cut holds no global-mode home"
+    );
+    assert!(
+        homes
+            .iter()
+            .any(|home| home.classifier_capacity == Some(3) && home.classifier.len() == 3),
+        "the PATRICIA cut holds no full Limited-3 classifier"
+    );
+
+    let expected: Vec<(String, u64, u64)> = GOLDEN_CHECKPOINTS
+        .iter()
+        .map(|&(name, cut, digest)| (name.to_string(), cut, digest))
+        .collect();
+    assert!(
+        actual == expected,
+        "checkpoints moved; actual digests:\n{}",
+        actual
+            .iter()
+            .map(|(name, cut, digest)| format!("(\"{name}\", {cut}, {digest:#018x}),"))
             .collect::<Vec<_>>()
             .join("\n")
     );
