@@ -8,7 +8,7 @@
 //! * a line is resident after a fill until it is evicted or invalidated;
 //! * the array behaves like a bounded map (agreement with a reference model).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use lad_cache::replacement::PlainLru;
 use lad_cache::set_assoc::SetAssocCache;
@@ -62,7 +62,7 @@ proptest! {
     ) {
         let mut cache: SetAssocCache<u32> = SetAssocCache::new(4, 2);
         // Reference set of lines we believe are resident.
-        let mut resident: HashMap<u64, u32> = HashMap::new();
+        let mut resident: BTreeMap<u64, u32> = BTreeMap::new();
         for op in ops {
             match op {
                 Op::Fill(l, v) => {

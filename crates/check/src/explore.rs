@@ -5,10 +5,7 @@
 //! breadth-first, the event path attached to a violation is a *shortest*
 //! counterexample trace.
 
-// The visited set is pure lookup state that never feeds a report or JSON
-// serialization, so iteration-order instability is harmless here.
-// lad-lint: allow(hashmap)
-use std::collections::HashMap;
+use lad_common::collections::FastMap;
 
 use crate::catalog::Violation;
 use crate::model::{Event, Model};
@@ -100,7 +97,8 @@ pub fn explore(model: &Model, options: ExploreOptions) -> Exploration {
     let initial = model.initial();
     let mut nodes = vec![Node { parent: None }];
     let mut states = vec![initial.clone()];
-    let mut seen: HashMap<Vec<u8>, usize> = HashMap::new();
+    // Lookup only: the visit order comes from `states`, never from `seen`.
+    let mut seen: FastMap<Vec<u8>, usize> = FastMap::default();
     seen.insert(model.encode(&initial), 0);
 
     let mut transitions = 0usize;

@@ -17,19 +17,15 @@
 //! 3. **Mutation harness** ([`mutation`]) — seeded protocol bugs the
 //!    checker must flag, proving the catalog has teeth.
 //!
-//! The [`lint`] module carries the workspace's source lints (`lad-lint`),
-//! which share the crate's "deny by default, annotate deliberate
-//! exceptions" philosophy.
-//!
-//! Two binaries front the crate: `lad-check` (`check --all`,
-//! `check --scheme <id>`, `check --mutants`) and `lad-lint`.
+//! The `lad-check` binary fronts the crate (`check --all`,
+//! `check --scheme <id>`, `check --mutants`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod catalog;
 pub mod explore;
-pub mod lint;
 pub mod model;
 pub mod mutation;
 pub mod view;

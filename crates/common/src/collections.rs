@@ -10,11 +10,13 @@
 //! Determinism: the hasher has no per-process random state, so a `FastMap`
 //! built by the same key sequence iterates identically on every run of the
 //! same build.  Reports must still never depend on map iteration order —
-//! the repo-wide rule (see `lad-lint`) is that anything rendered into a
-//! report goes through an ordered structure or a commutative reduction.
-//
-// lad-lint: allow(hashmap) — this module exists to wrap HashMap with a
-// deterministic hasher; consumers are still linted.
+//! the repo-wide rule (clippy's `disallowed-types` in `clippy.toml`) is that
+//! anything rendered into a report goes through an ordered structure or a
+//! commutative reduction.
+
+// This module exists to wrap `HashMap` with a deterministic hasher; its
+// users still may not name `HashMap` themselves.
+#![allow(clippy::disallowed_types)]
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

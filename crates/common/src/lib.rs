@@ -16,6 +16,8 @@
 //!   for simulator hot paths where `SipHash` is too slow.
 //! * [`json`] — a dependency-free JSON document model (serializer + strict
 //!   parser) used for the machine-readable experiment reports.
+//! * [`fnv`] — FNV-1a 64, the one content hash (trace digests, service
+//!   fingerprints, property-test seeds).
 //! * [`hex`] — the table-driven hex codec that carries binary payloads
 //!   (trace uploads, engine-checkpoint blobs) inside JSON documents.
 //! * [`workers`] — the one worker-count resolution chain (explicit override,
@@ -46,11 +48,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cli;
 pub mod collections;
 pub mod config;
 pub mod fault;
+pub mod fnv;
 pub mod fs;
 pub mod hex;
 pub mod json;

@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod accounting;
 pub mod model;

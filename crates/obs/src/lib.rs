@@ -4,9 +4,10 @@
 //!
 //! * **Metrics** ([`registry`]) — a [`MetricsRegistry`] of typed
 //!   instruments ([`Counter`], [`Gauge`], [`LatencyHistogram`]) resolved
-//!   once into handles whose record path is a single `Relaxed` atomic
-//!   operation.  [`MetricsRegistry::noop`] hands out disarmed handles for
-//!   measuring the instrumentation overhead itself.
+//!   once into handles that record without a lookup: one `Relaxed` atomic
+//!   operation for a counter or gauge, one lock for a histogram.
+//!   [`MetricsRegistry::noop`] hands out disarmed handles for measuring the
+//!   instrumentation overhead itself.
 //! * **Exposition** ([`export`]) — [`prometheus_text`] renders a
 //!   snapshot in the Prometheus text format (histograms as summaries
 //!   with *exact* quantiles); [`metrics_json`] renders the same data
@@ -22,6 +23,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod export;
 pub mod registry;

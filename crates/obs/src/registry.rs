@@ -2,9 +2,10 @@
 //!
 //! A [`MetricsRegistry`] maps metric names (plus optional label sets) to
 //! shared instrument cells.  Callers resolve a handle **once** — at
-//! construction or first use — and then record through it; recording is a
-//! single `Relaxed` atomic operation on the pre-resolved cell, with no
-//! string hashing or map lookup per event.  A registry built with
+//! construction or first use — and then record through it, with no string
+//! hashing or map lookup per event: a counter or gauge record is a single
+//! `Relaxed` atomic operation on the pre-resolved cell, and a histogram
+//! record one lock of the cell's [`Histogram`].  A registry built with
 //! [`MetricsRegistry::noop`] hands out disarmed handles whose record
 //! methods are a branch on an immediate `bool` and nothing else, so the
 //! cost of *not* observing is measurable (and benched) too.
@@ -123,65 +124,17 @@ impl Gauge {
     }
 }
 
-/// The shared storage of a [`LatencyHistogram`]: a dense array of atomic
-/// buckets for values below [`Histogram::DENSE_LIMIT`] (one atomic add per
-/// sample — the common case for the microsecond-scale latencies recorded
-/// here), and a mutex-guarded sparse map for the rare large values.
-/// The split mirrors [`lad_common::stats::Histogram`], which snapshots
-/// re-materialize for exact percentile queries.
-#[derive(Debug)]
-struct HistogramCell {
-    dense: Vec<AtomicU64>,
-    sparse: Mutex<BTreeMap<u64, u64>>,
-}
-
-impl HistogramCell {
-    fn new() -> Self {
-        let mut dense = Vec::with_capacity(Histogram::DENSE_LIMIT as usize);
-        dense.resize_with(Histogram::DENSE_LIMIT as usize, AtomicU64::default);
-        HistogramCell {
-            dense,
-            sparse: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    fn record(&self, value: u64) {
-        if let Some(bucket) = self.dense.get(value as usize) {
-            bucket.fetch_add(1, Ordering::Relaxed);
-        } else {
-            *self
-                .sparse
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(value)
-                .or_insert(0) += 1;
-        }
-    }
-
-    fn snapshot(&self) -> Histogram {
-        let mut out = Histogram::new();
-        for (value, bucket) in self.dense.iter().enumerate() {
-            out.record_weighted(value as u64, bucket.load(Ordering::Relaxed));
-        }
-        for (&value, &count) in self
-            .sparse
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-        {
-            out.record_weighted(value, count);
-        }
-        out
-    }
-}
-
 /// An exact latency histogram handle.  Samples are recorded in integer
 /// units chosen by the caller (the workspace convention is microseconds,
 /// suffix `_us`); snapshots export the full distribution so percentiles
 /// are computed over every recorded sample, not interpolated buckets.
+///
+/// Every handle on one instrument shares one mutex-guarded
+/// [`Histogram`], so each record takes one lock: cheap at the per-verb,
+/// per-cell and per-spill rates recorded here.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    cell: Arc<HistogramCell>,
+    cell: Arc<Mutex<Histogram>>,
     armed: bool,
 }
 
@@ -190,23 +143,25 @@ impl LatencyHistogram {
     #[inline]
     pub fn record(&self, value: u64) {
         if self.armed {
-            self.cell.record(value);
+            self.cell
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .record(value);
         }
     }
 
     /// Records a [`std::time::Duration`] in whole microseconds.
     #[inline]
     pub fn record_duration(&self, elapsed: std::time::Duration) {
-        if self.armed {
-            self.cell
-                .record(elapsed.as_micros().min(u64::MAX as u128) as u64);
-        }
+        self.record(elapsed.as_micros().min(u64::MAX as u128) as u64);
     }
 
-    /// Materializes the current contents as an exact
-    /// [`lad_common::stats::Histogram`].
+    /// A copy of the current contents.
     pub fn snapshot(&self) -> Histogram {
-        self.cell.snapshot()
+        self.cell
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -214,7 +169,7 @@ impl LatencyHistogram {
 enum InstrumentCell {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicI64>),
-    Histogram(Arc<HistogramCell>),
+    Histogram(Arc<Mutex<Histogram>>),
 }
 
 impl InstrumentCell {
@@ -315,9 +270,9 @@ impl MetricsRegistry {
         });
         match open(&entry.cell) {
             Some(handle) => handle,
-            // lad-lint: allow(panic) — a name registered under two
-            // instrument kinds is a bug in the instrumenting code, never
-            // remote input; failing loudly beats corrupting the exposition.
+            // A name registered under two instrument kinds is a bug in the
+            // instrumenting code, never remote input; failing loudly beats
+            // corrupting the exposition.
             None => panic!(
                 "metric {name:?} already registered as a {}",
                 entry.cell.kind()
@@ -388,7 +343,7 @@ impl MetricsRegistry {
             name,
             labels,
             help,
-            || InstrumentCell::Histogram(Arc::new(HistogramCell::new())),
+            || InstrumentCell::Histogram(Arc::new(Mutex::new(Histogram::new()))),
             |cell| match cell {
                 InstrumentCell::Histogram(c) => Some(LatencyHistogram {
                     cell: Arc::clone(c),
@@ -415,7 +370,9 @@ impl MetricsRegistry {
                 value: match &instrument.cell {
                     InstrumentCell::Counter(c) => SampleValue::Counter(c.load(Ordering::Relaxed)),
                     InstrumentCell::Gauge(c) => SampleValue::Gauge(c.load(Ordering::Relaxed)),
-                    InstrumentCell::Histogram(c) => SampleValue::Histogram(c.snapshot()),
+                    InstrumentCell::Histogram(c) => SampleValue::Histogram(
+                        c.lock().unwrap_or_else(PoisonError::into_inner).clone(),
+                    ),
                 },
             })
             .collect()

@@ -3,6 +3,9 @@
 
 use std::fmt;
 
+use lad_common::fnv::{fnv1a, FNV_OFFSET_BASIS};
+use lad_common::rng::DeterministicRng;
+
 /// Configuration accepted by `#![proptest_config(...)]`.
 #[derive(Debug, Clone)]
 pub struct ProptestConfig {
@@ -52,16 +55,11 @@ impl TestRunner {
     /// Builds a runner whose case seeds are derived deterministically from
     /// the test name, so every run generates the identical case sequence.
     pub fn new(config: ProptestConfig, name: &str) -> Self {
-        // FNV-1a over the test name gives each test its own stream.
-        let mut seed = 0xcbf2_9ce4_8422_2325u64;
-        for byte in name.bytes() {
-            seed ^= u64::from(byte);
-            seed = seed.wrapping_mul(0x0000_0100_0000_01b3);
-        }
         TestRunner {
             cases: config.cases,
             next: 0,
-            seed,
+            // FNV-1a over the test name gives each test its own stream.
+            seed: fnv1a(FNV_OFFSET_BASIS, name.as_bytes()),
         }
     }
 
@@ -79,24 +77,19 @@ impl TestRunner {
     }
 }
 
-/// The value generator handed to strategies: SplitMix64, seeded per case.
+/// The value generator handed to strategies: the workspace's xoshiro256++
+/// generator, seeded per case.
 #[derive(Debug, Clone)]
-pub struct TestRng {
-    state: u64,
-}
+pub struct TestRng(DeterministicRng);
 
 impl TestRng {
     /// Creates a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
-        TestRng { state: seed }
+        TestRng(DeterministicRng::seed_from(seed))
     }
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 }

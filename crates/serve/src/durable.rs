@@ -72,19 +72,20 @@ pub fn load_sealed(path: &Path) -> LoadOutcome {
         Err(err) if err.kind() == std::io::ErrorKind::NotFound => return LoadOutcome::Missing,
         Err(_) => return quarantine(path),
     };
-    let Ok(envelope) = JsonValue::parse(&text) else {
+    let Ok(JsonValue::Object(mut fields)) = JsonValue::parse(&text) else {
         return quarantine(path);
     };
-    let (Some(digest), Some(body)) = (
-        envelope.get("digest").and_then(JsonValue::as_str),
-        envelope.get("body"),
-    ) else {
+    // The first field of each name, as `JsonValue::get` finds it.
+    let field = |name: &str| fields.iter().position(|(key, _)| key == name);
+    let (Some(digest), Some(body)) = (field("digest"), field("body")) else {
         return quarantine(path);
     };
-    if fingerprint_hex(fingerprint(&body.pretty())) != digest {
+    let sealed = fingerprint_hex(fingerprint(&fields[body].1.pretty()));
+    if fields[digest].1.as_str() != Some(sealed.as_str()) {
         return quarantine(path);
     }
-    LoadOutcome::Loaded(body.clone())
+    // The envelope is ours: move the verified body out instead of copying it.
+    LoadOutcome::Loaded(fields.swap_remove(body).1)
 }
 
 /// Moves a corrupt file aside to `<path>.quarantine` (overwriting an older

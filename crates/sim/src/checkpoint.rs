@@ -65,8 +65,8 @@
 //! # Validation
 //!
 //! Checkpoints come from outside the process, so nothing in them may reach
-//! a panicking restore constructor.  [`EngineCheckpoint::decode`] (which
-//! [`EngineCheckpoint::from_json`] runs before it accepts a document)
+//! a panicking restore constructor.  [`EngineCheckpoint::decode`] (the one
+//! decode of a resume, which [`Simulator::resume_source`] runs first)
 //! checks everything that needs no simulator geometry (sharer-list budgets
 //! and modes, owners tracked, unique classifier cores, counters ≤ RT,
 //! strictly ascending slots, nonzero stamps ≤ the LRU clock, positive
@@ -526,15 +526,15 @@ impl EngineCheckpoint {
         ])
     }
 
-    /// Reads a checkpoint from [`EngineCheckpoint::to_json`] output and
-    /// accepts it only if its body decodes, so every geometry-free check of
-    /// the module docs has passed; the rest is checked by
-    /// [`Simulator::resume_source`].
+    /// Reads a checkpoint from [`EngineCheckpoint::to_json`] output.  It
+    /// checks the `format` and the hex only: the body is decoded, and so
+    /// validated, once, by [`EngineCheckpoint::decode`], which
+    /// [`Simulator::resume_source`] runs before it restores anything.
     ///
     /// # Errors
     ///
     /// Returns a description of the first problem: a missing or unknown
-    /// `format`, bad hex, or any error of [`EngineCheckpoint::decode`].
+    /// `format`, or missing or bad hex.
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
         match value.get("format").and_then(JsonValue::as_u64) {
             Some(FORMAT) => {}
@@ -547,9 +547,7 @@ impl EngineCheckpoint {
             .ok_or("checkpoint has no \"bytes\" hex string")?;
         let body =
             lad_common::hex::decode(text).map_err(|err| format!("checkpoint bytes: {err}"))?;
-        let checkpoint = EngineCheckpoint { body };
-        checkpoint.decode()?;
-        Ok(checkpoint)
+        Ok(EngineCheckpoint { body })
     }
 
     /// Decodes the body into plain data, validating everything that needs
@@ -1053,18 +1051,18 @@ mod tests {
         let json = captured_checkpoint().to_json();
         let hex = json.get("bytes").and_then(JsonValue::as_str).unwrap();
         let bytes = body(&json);
-        assert!(EngineCheckpoint::from_json(&document(&bytes)).is_ok());
+        let decode = |bytes: &[u8]| EngineCheckpoint::from_json(&document(bytes))?.decode();
+        assert!(decode(&bytes).is_ok());
 
-        // Truncated blobs, cut anywhere, and a trailing byte.
+        // Truncated blobs, cut anywhere, and a trailing byte: `from_json`
+        // reads only the format and the hex, and the one decode rejects
+        // the body.
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                EngineCheckpoint::from_json(&document(&bytes[..cut])).is_err(),
-                "cut at {cut}"
-            );
+            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
         let mut longer = bytes.clone();
         longer.push(0);
-        let err = EngineCheckpoint::from_json(&document(&longer)).unwrap_err();
+        let err = decode(&longer).unwrap_err();
         assert!(err.contains("trailing"), "{err}");
 
         // Bad hex: a non-digit, and an odd digit count.

@@ -210,7 +210,6 @@ pub struct Simulator {
     system: SystemConfig,
     replication: ReplicationConfig,
     policy: Arc<dyn ReplicationPolicy>,
-    label: String,
     energy_model: EnergyModel,
     benchmark: String,
     active_cores: usize,
@@ -289,22 +288,22 @@ impl Simulator {
                 replication.scheme
             );
         };
-        let label = replication.label();
-        Self::build(
+        Self::with_policy_and_energy_model(
             system,
             replication,
             policy,
-            label,
             EnergyModel::paper_default(),
         )
     }
 
     /// Builds a simulator around a custom [`ReplicationPolicy`] (registered
-    /// or not) and an explicit energy model.  `replication` supplies the
-    /// engine knobs (the replication threshold its `scheme` carries,
-    /// classifier organization, cluster size, LLC replacement); the report
-    /// label, placement and every replication decision come from the
-    /// policy.
+    /// or not) and an explicit energy model.  The policy names the scheme:
+    /// `replication.scheme` is set to its id, as
+    /// [`SchemeRegistry::register`](lad_replication::policy::SchemeRegistry::register)
+    /// does, so the replication threshold, the report label and every
+    /// replication decision follow the policy.  `replication` supplies the
+    /// other engine knobs (classifier organization, cluster size, LLC
+    /// replacement).
     ///
     /// # Panics
     ///
@@ -315,17 +314,10 @@ impl Simulator {
         policy: Arc<dyn ReplicationPolicy>,
         energy_model: EnergyModel,
     ) -> Self {
-        let label = policy.id().label();
-        Self::build(system, replication, policy, label, energy_model)
-    }
-
-    fn build(
-        system: SystemConfig,
-        replication: ReplicationConfig,
-        policy: Arc<dyn ReplicationPolicy>,
-        label: String,
-        energy_model: EnergyModel,
-    ) -> Self {
+        let replication = ReplicationConfig {
+            scheme: policy.id(),
+            ..replication
+        };
         if let Err(error) = system.validate() {
             panic!("system configuration must be valid: {error}");
         }
@@ -362,7 +354,6 @@ impl Simulator {
             system,
             replication,
             policy,
-            label,
             energy_model,
             benchmark: String::new(),
             active_cores,
@@ -525,7 +516,7 @@ impl Simulator {
 
         SimulationReport {
             benchmark: self.benchmark.clone(),
-            scheme: self.label.clone(),
+            scheme: self.replication.label(),
             scheme_id: self.policy.id(),
             completion_time: completion,
             latency,
@@ -733,8 +724,9 @@ impl Simulator {
         if checkpoint.num_cores != num_cores || checkpoint.consumed.len() != num_cores {
             return differs("active cores", &checkpoint.consumed.len(), &num_cores);
         }
-        if checkpoint.scheme != self.label {
-            return differs("scheme", &checkpoint.scheme, &self.label);
+        let label = self.replication.label();
+        if checkpoint.scheme != label {
+            return differs("scheme", &checkpoint.scheme, &label);
         }
         let rt = self.replication.replication_threshold();
         if checkpoint.replication_threshold != rt {
@@ -912,7 +904,7 @@ impl Simulator {
         EngineCheckpoint::capture(&LiveEngine {
             benchmark: &self.benchmark,
             num_cores: self.active_cores,
-            scheme: &self.label,
+            scheme: &self.replication.label(),
             replication_threshold: self.replication.replication_threshold(),
             classifier_capacity: self.replication.classifier.capacity(),
             tiles: &self.tiles,
@@ -2093,6 +2085,34 @@ mod tests {
             Err(ResumeError::Rejected(why)) => assert!(why.contains("scheme"), "{why}"),
             other => panic!("expected a scheme mismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_policy_names_the_scheme_whatever_the_config_says() {
+        // An RT-3 policy handed an RT-8 config runs as RT-3, exactly like
+        // the registry's RT-3 entry: one scheme per simulator.
+        let trace = small_trace(Benchmark::Barnes, 600, 11);
+        let run = |config: ReplicationConfig, policy: Arc<dyn ReplicationPolicy>| {
+            let mut sim = Simulator::with_policy_and_energy_model(
+                SystemConfig::small_test(),
+                config,
+                policy,
+                EnergyModel::paper_default(),
+            );
+            sim.run(&trace)
+        };
+        let registry = lad_replication::policy::SchemeRegistry::builtin();
+        let rt3 = registry.get(SchemeId::Rt(3)).unwrap();
+        let registered = run(rt3.config.clone(), Arc::clone(&rt3.policy));
+        let paired = run(
+            ReplicationConfig::locality_aware(8),
+            builtin_policy(SchemeId::Rt(3)).unwrap(),
+        );
+        assert!(registered.replicas_created > 0);
+        assert_eq!(
+            paired.to_json().to_string(),
+            registered.to_json().to_string()
+        );
     }
 
     #[test]
