@@ -41,4 +41,3 @@ pub use l1::L1Cache;
 pub use llc_slice::{LlcReplacementPolicy, LlcSlice};
 pub use replacement::{EvictionPriority, PlainLru, SharerAwareLru, SharerCount};
 pub use set_assoc::SetAssocCache;
-pub use snapshot::CacheState;

@@ -1,61 +1,44 @@
 //! Checkpoint support for the cache models.
 //!
 //! A checkpoint reads a cache through the borrowing [`L1Cache::slots`] /
-//! [`LlcSlice::slots`] and their `clock`, so capturing one copies no entry.
-//! A decoded checkpoint hands each cache back as a [`CacheState`] — the
-//! occupied slots with their tags, LRU stamps and entries, and the global
-//! LRU clock, as ordinary vectors and integers — which `restore_state`
-//! consumes.  This crate stays serialization-free: the byte encoding lives
-//! with the simulator's checkpoint module.
+//! [`LlcSlice::slots`] and their `clock`, so capturing one copies no entry,
+//! and writes one back through `restore_slot` for each occupied slot and
+//! then `set_clock`, so restoring one builds no intermediate copy either.
+//! This crate stays serialization-free: the byte encoding lives with the
+//! simulator's checkpoint module.
 //!
 //! Both directions carry plain `V` entries, whatever form the array stores
 //! them in (the LLC slice boxes its entries), so the checkpoint codec never
 //! sees how a cache lays out its memory.
+
+use lad_common::types::CacheLine;
 
 use crate::l1::L1Cache;
 use crate::llc_slice::LlcSlice;
 use crate::replacement::SharerCount;
 use crate::set_assoc::SetAssocCache;
 
-/// Complete state of an [`L1Cache`] or [`LlcSlice`] holding entries of
-/// type `V`, as a decoded checkpoint carries it.
-///
-/// Restoring a state into a cache built from the same configuration
-/// reproduces every future lookup, LRU promotion and victim choice of the
-/// checkpointed cache.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheState<V> {
-    /// Occupied slots as `(slot, tag, lru_stamp, entry)`, in slot order.
-    pub slots: Vec<(usize, u64, u64, V)>,
-    /// The array's global LRU clock.
-    pub clock: u64,
-}
-
-/// Checks `state` against `array`'s geometry: every slot in range and in
-/// the set its tag maps to.
-fn check_fits<S, V>(array: &SetAssocCache<S>, state: &CacheState<V>) -> Result<(), String> {
-    match state
-        .slots
-        .iter()
-        .find(|(slot, tag, ..)| !array.slot_fits(*slot, *tag))
-    {
-        Some((slot, tag, ..)) => Err(format!(
+/// Re-occupies `slot` of `array` once the pair fits: the slot exists, lies
+/// in the set `tag` maps to, and that line is not resident yet.
+fn restore_into<S>(
+    array: &mut SetAssocCache<S>,
+    slot: usize,
+    tag: u64,
+    stamp: u64,
+    value: S,
+) -> Result<(), String> {
+    if !array.slot_fits(slot, tag) {
+        return Err(format!(
             "slot {slot} of tag {tag:#x} does not fit {} sets of {} ways",
             array.num_sets(),
             array.associativity()
-        )),
-        None => Ok(()),
+        ));
     }
-}
-
-/// Restores `state` into an array storing its entries as `S` (`V` itself
-/// or `Box<V>`).
-fn replay<S: From<V>, V>(array: &mut SetAssocCache<S>, state: CacheState<V>) {
-    array.clear();
-    for (slot, tag, stamp, value) in state.slots {
-        array.restore_slot(slot, tag, stamp, S::from(value));
+    if array.contains(CacheLine::from_index(tag)) {
+        return Err(format!("tag {tag:#x} is resident twice"));
     }
-    array.set_clock(state.clock);
+    array.restore_slot(slot, tag, stamp, value);
+    Ok(())
 }
 
 impl<V> L1Cache<V> {
@@ -71,24 +54,36 @@ impl<V> L1Cache<V> {
         self.array().clock()
     }
 
-    /// Checks that a state fits this cache's geometry — the condition
-    /// under which [`L1Cache::restore_state`] cannot panic on slot indices.
+    /// Re-occupies one slot of a checkpointed cache with the same
+    /// geometry.  Restoring every slot of [`L1Cache::slots`] into a cleared
+    /// cache, then [`L1Cache::set_clock`], reproduces every future lookup,
+    /// LRU promotion and victim choice of the checkpointed cache.
     ///
     /// # Errors
     ///
-    /// Describes the first slot outside the cache or outside its tag's set.
-    pub fn check_state(&self, state: &CacheState<V>) -> Result<(), String> {
-        check_fits(self.array(), state)
-    }
-
-    /// Restores the state of a cache with the same geometry.
+    /// A slot outside the cache or outside its tag's set, or a tag already
+    /// resident; the cache is unchanged.
     ///
     /// # Panics
     ///
-    /// Panics if a slot index falls outside this cache's geometry or the
-    /// state is internally inconsistent (duplicate slots, stale clock).
-    pub fn restore_state(&mut self, state: CacheState<V>) {
-        replay(self.array_mut(), state);
+    /// Panics if the slot is occupied or `stamp` is `0`.
+    pub fn restore_slot(
+        &mut self,
+        slot: usize,
+        tag: u64,
+        stamp: u64,
+        value: V,
+    ) -> Result<(), String> {
+        restore_into(self.array_mut(), slot, tag, stamp, value)
+    }
+
+    /// Restores the global LRU clock after the last slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clock` is older than a resident stamp.
+    pub fn set_clock(&mut self, clock: u64) {
+        self.array_mut().set_clock(clock);
     }
 }
 
@@ -107,24 +102,34 @@ impl<V: SharerCount> LlcSlice<V> {
         self.array().clock()
     }
 
-    /// Checks that a state fits this slice's geometry — the condition
-    /// under which [`LlcSlice::restore_state`] cannot panic on slot indices.
+    /// Re-occupies one slot of a checkpointed slice with the same
+    /// geometry, as [`L1Cache::restore_slot`] does.
     ///
     /// # Errors
     ///
-    /// Describes the first slot outside the slice or outside its tag's set.
-    pub fn check_state(&self, state: &CacheState<V>) -> Result<(), String> {
-        check_fits(self.array(), state)
-    }
-
-    /// Restores the state of a slice with the same geometry.
+    /// A slot outside the slice or outside its tag's set, or a tag already
+    /// resident; the slice is unchanged.
     ///
     /// # Panics
     ///
-    /// Panics if a slot index falls outside this slice's geometry or the
-    /// state is internally inconsistent (duplicate slots, stale clock).
-    pub fn restore_state(&mut self, state: CacheState<V>) {
-        replay(self.array_mut(), state);
+    /// Panics if the slot is occupied or `stamp` is `0`.
+    pub fn restore_slot(
+        &mut self,
+        slot: usize,
+        tag: u64,
+        stamp: u64,
+        value: V,
+    ) -> Result<(), String> {
+        restore_into(self.array_mut(), slot, tag, stamp, Box::new(value))
+    }
+
+    /// Restores the global LRU clock after the last slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clock` is older than a resident stamp.
+    pub fn set_clock(&mut self, clock: u64) {
+        self.array_mut().set_clock(clock);
     }
 }
 
@@ -150,23 +155,23 @@ mod tests {
 
     /// What a checkpoint records of a cache: its LRU clock and occupied
     /// slots, copied out.
+    type State<V> = (u64, Vec<(usize, u64, u64, V)>);
+
     fn state_of<'a, V: Clone + 'a>(
         clock: u64,
         slots: impl Iterator<Item = (usize, u64, u64, &'a V)>,
-    ) -> CacheState<V> {
-        CacheState {
-            slots: slots
-                .map(|(slot, tag, stamp, value)| (slot, tag, stamp, value.clone()))
-                .collect(),
-            clock,
-        }
+    ) -> State<V> {
+        let slots = slots
+            .map(|(slot, tag, stamp, value)| (slot, tag, stamp, value.clone()))
+            .collect();
+        (clock, slots)
     }
 
-    fn l1_state(l1: &L1Cache<u8>) -> CacheState<u8> {
+    fn l1_state(l1: &L1Cache<u8>) -> State<u8> {
         state_of(l1.clock(), l1.slots())
     }
 
-    fn llc_state(slice: &LlcSlice<Entry>) -> CacheState<Entry> {
+    fn llc_state(slice: &LlcSlice<Entry>) -> State<Entry> {
         state_of(slice.clock(), slice.slots())
     }
 
@@ -179,15 +184,38 @@ mod tests {
         l1.access(line(0));
         l1.access(line(99));
 
-        let state = l1_state(&l1);
-        assert_eq!(state.slots.len(), l1.len());
+        let (clock, slots) = l1_state(&l1);
+        assert_eq!(slots.len(), l1.len());
         let mut restored: L1Cache<u8> = L1Cache::new(&config(), 64);
-        restored.restore_state(state);
+        for (slot, tag, stamp, state) in slots {
+            restored.restore_slot(slot, tag, stamp, state).unwrap();
+        }
+        restored.set_clock(clock);
 
         assert_eq!(restored.len(), l1.len());
         // Same future: the fill that overflows set 0 picks the same victim.
         assert_eq!(restored.fill(line(8), 8), l1.fill(line(8), 8));
         assert_eq!(l1_state(&restored), l1_state(&l1));
+    }
+
+    #[test]
+    fn restore_slot_rejects_slots_outside_the_geometry_and_twice_resident_tags() {
+        // 4 sets of 2 ways: line 5 belongs in set 1, slots 2 and 3.
+        let mut l1: L1Cache<u8> = L1Cache::new(&config(), 64);
+        let err = l1.restore_slot(8, 5, 1, 0).unwrap_err();
+        assert!(err.contains("does not fit 4 sets of 2 ways"), "{err}");
+        assert!(
+            l1.restore_slot(0, 5, 1, 0).is_err(),
+            "set 0 is not line 5's"
+        );
+        l1.restore_slot(2, 5, 1, 0).unwrap();
+        let err = l1.restore_slot(3, 5, 2, 0).unwrap_err();
+        assert!(err.contains("resident twice"), "{err}");
+        assert_eq!(l1.len(), 1);
+
+        let mut slice: LlcSlice<Entry> = LlcSlice::new(&config(), 64);
+        assert!(slice.restore_slot(1, 5, 1, Entry { sharers: 0 }).is_err());
+        assert!(slice.is_empty());
     }
 
     #[derive(Debug, Clone, PartialEq)]
@@ -209,10 +237,13 @@ mod tests {
         slice.fill(line(4), Entry { sharers: 0 });
         slice.access(line(4)); // MRU but sharer-free
 
-        let state = llc_state(&slice);
-        assert_eq!(state.slots.len(), slice.len());
+        let (clock, slots) = llc_state(&slice);
+        assert_eq!(slots.len(), slice.len());
         let mut restored: LlcSlice<Entry> = LlcSlice::new(&config(), 64);
-        restored.restore_state(state);
+        for (slot, tag, stamp, entry) in slots {
+            restored.restore_slot(slot, tag, stamp, entry).unwrap();
+        }
+        restored.set_clock(clock);
 
         let expect = slice.fill(line(8), Entry { sharers: 1 });
         let got = restored.fill(line(8), Entry { sharers: 1 });

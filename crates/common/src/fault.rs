@@ -446,11 +446,6 @@ impl FaultInjector {
         }
     }
 
-    /// Whether a plan is armed.
-    pub fn is_armed(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// Counts one operation at `site` and returns the fault scheduled for
     /// exactly this occurrence, if any.
     #[inline]
@@ -714,7 +709,6 @@ mod tests {
     #[test]
     fn disarmed_injector_is_inert() {
         let injector = FaultInjector::disarmed();
-        assert!(!injector.is_armed());
         for site in FaultSite::ALL {
             assert_eq!(injector.fire(site), None);
             injector.maybe_panic(site);

@@ -8,6 +8,10 @@
 //!   "body":   { ...artifact... } }
 //! ```
 //!
+//! [`seal`] renders the body once and writes that very text after its
+//! digest; [`load_sealed`] renders the parsed body again to verify it, so
+//! how the body is laid out in the file does not matter.
+//!
 //! Writes go through [`lad_common::fs::atomic_write`] (temp file, then
 //! `fsync`, rename, directory `fsync`), so a crash can only ever leave the old
 //! bytes, the new bytes, or — if the storage layer itself misbehaves — a
@@ -24,10 +28,20 @@ use lad_common::json::JsonValue;
 
 use crate::protocol::{fingerprint, fingerprint_hex};
 
-/// Wraps an artifact body in the sealed envelope.
-pub fn seal(body: JsonValue) -> JsonValue {
-    let digest = fingerprint_hex(fingerprint(&body.pretty()));
-    JsonValue::object([("digest", JsonValue::from(digest)), ("body", body)])
+/// Renders `body` in the sealed envelope: its canonical pretty form,
+/// rendered once, hashed for the digest and placed verbatim after it.
+pub fn seal(body: &JsonValue) -> String {
+    let text = body.pretty();
+    let digest = fingerprint_hex(fingerprint(&text));
+    // `concat` allocates the envelope once, at its exact length.
+    [
+        "{\n  \"digest\": \"",
+        digest.as_str(),
+        "\",\n  \"body\": ",
+        text.trim_end(),
+        "\n}\n",
+    ]
+    .concat()
 }
 
 /// Durably writes `body` to `path` as a sealed envelope, consulting
@@ -44,7 +58,7 @@ pub fn write_sealed(
     injector: &FaultInjector,
     site: FaultSite,
 ) -> std::io::Result<()> {
-    lad_common::fs::atomic_write_faulty(path, seal(body).pretty().as_bytes(), injector, site)
+    lad_common::fs::atomic_write_faulty(path, seal(&body).as_bytes(), injector, site)
 }
 
 /// The result of loading a sealed file.
@@ -150,6 +164,24 @@ mod tests {
             FaultSite::CacheSpill,
         )
         .unwrap();
+        match load_sealed(&path) {
+            LoadOutcome::Loaded(loaded) => assert_eq!(loaded, body()),
+            other => panic!("expected Loaded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn envelopes_rendered_whole_still_verify() {
+        // Files written before `seal` rendered the body once carry it
+        // re-indented inside a whole-envelope rendering.  Both layouts parse
+        // to the same envelope, and the digest covers the body's canonical
+        // form, so such a file still loads.
+        let dir = TempDir::new("layout");
+        let path = dir.0.join("entry.json");
+        let digest = fingerprint_hex(fingerprint(&body().pretty()));
+        let whole = JsonValue::object([("digest", JsonValue::from(digest)), ("body", body())]);
+        assert_eq!(JsonValue::parse(&seal(&body())).unwrap(), whole);
+        std::fs::write(&path, whole.pretty()).unwrap();
         match load_sealed(&path) {
             LoadOutcome::Loaded(loaded) => assert_eq!(loaded, body()),
             other => panic!("expected Loaded, got {other:?}"),

@@ -18,12 +18,12 @@
 //! One accept thread spawns a handler thread per connection (all inside a
 //! `std::thread::scope`, so a draining server joins everything).  Worker
 //! threads pull cells from a bounded queue guarded by a mutex + condvar —
-//! the same "one shared cursor, workers steal the next job" shape as
+//! the same "workers take the next queued cell" shape as
 //! [`ExperimentRunner::run_matrix`](lad_sim::experiment::ExperimentRunner::run_matrix),
-//! persistent across jobs instead of per-matrix.  Identical cells submitted
-//! concurrently are deduplicated *in flight*: later submissions subscribe
-//! to the running cell rather than enqueueing a copy, so N parallel
-//! submissions of the same job simulate once.
+//! whose workers also persist from one call to the next.  Identical cells
+//! submitted concurrently are deduplicated *in flight*: later submissions
+//! subscribe to the running cell rather than enqueueing a copy, so N
+//! parallel submissions of the same job simulate once.
 //!
 //! Every cell runs under a [`RunObserver`] that publishes progress
 //! (accesses done, accesses/sec), honours its cancel flag, and spills an
@@ -53,7 +53,7 @@ use lad_sim::experiment::ReplayError;
 use lad_sim::metrics::SimulationReport;
 use lad_trace::benchmarks::Benchmark;
 use lad_trace::generator::TraceGenerator;
-use lad_traceio::source::{FaultyFileSource, FileSource, GeneratorSource, TraceSource};
+use lad_traceio::source::{FileSource, GeneratorSource, TraceSource};
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::durable::{self, LoadOutcome};
@@ -1318,18 +1318,11 @@ fn complete_cells(
 }
 
 fn open_source(shared: &Shared, spec: &TraceSpec) -> Result<Box<dyn TraceSource>, String> {
-    // File-backed sources route reads through the injector only when a
-    // plan is armed, so the disarmed hot path stays a plain FileSource.
+    // File-backed sources read through the injector, a no-op when disarmed.
     let open_file = |path: PathBuf| -> Result<Box<dyn TraceSource>, String> {
-        if shared.config.fault.is_armed() {
-            FaultyFileSource::open_faulty(&path, shared.config.fault.clone())
-                .map(|s| Box::new(s) as Box<dyn TraceSource>)
-                .map_err(|err| err.to_string())
-        } else {
-            FileSource::open(&path)
-                .map(|s| Box::new(s) as Box<dyn TraceSource>)
-                .map_err(|err| err.to_string())
-        }
+        FileSource::open_faulty(&path, shared.config.fault.clone())
+            .map(|s| Box::new(s) as Box<dyn TraceSource>)
+            .map_err(|err| err.to_string())
     };
     match spec {
         TraceSpec::File { path } => open_file(path.clone()),

@@ -2,21 +2,23 @@
 //! blob holding every piece of mutable simulator state plus the per-core
 //! stream cursor, carried inside a JSON wrapper.
 //!
-//! There is one encoder and one decoder.  [`Simulator::capture_checkpoint`]
-//! encodes the live engine straight into the body — it reads each cache's
-//! occupied slots in place and copies no tile state — and
-//! [`EngineCheckpoint::decode`] turns a body back into the plain-data
-//! [`DecodedCheckpoint`] that resume validates and restores.
+//! There is one encoder and one decoder, and each is the mirror of the
+//! other.  `EngineCheckpoint::capture` (behind
+//! [`Simulator::capture_checkpoint`]) encodes the live engine straight into
+//! the body — it reads each cache's occupied slots in place and copies no
+//! tile state — and `EngineCheckpoint::restore` (behind
+//! [`Simulator::resume_source`]) decodes the body straight back into the
+//! simulator, one value at a time, checking each before it stores it.
 //!
 //! Two things are deliberately **not** serialized:
 //!
 //! * the R-NUCA home map and the per-line data classes — both are rebuilt by
 //!   re-running the profiling pass on resume (`profile_access` is their only
 //!   writer and converges to the same state in any complete order), and
-//! * the per-core pending accesses — [`DecodedCheckpoint::consumed`] counts
-//!   the accesses each core has *stepped*, so resume fast-forwards each
-//!   core's stream by that many accesses and re-fetches the pending window
-//!   from the (deterministic) source.
+//! * the per-core pending accesses — the stream cursor at the end of the
+//!   body counts the accesses each core has *stepped*, so resume
+//!   fast-forwards each core's stream by that many accesses and re-fetches
+//!   the pending window from the (deterministic) source.
 //!
 //! # Encoding
 //!
@@ -65,32 +67,34 @@
 //! # Validation
 //!
 //! Checkpoints come from outside the process, so nothing in them may reach
-//! a panicking restore constructor.  [`EngineCheckpoint::decode`] (the one
-//! decode of a resume, which [`Simulator::resume_source`] runs first)
-//! checks everything that needs no simulator geometry (sharer-list budgets
-//! and modes, owners tracked, unique classifier cores, counters ≤ RT,
-//! strictly ascending slots, nonzero stamps ≤ the LRU clock, positive
-//! open-run lengths, a non-zero RNG state, finite energies) and
-//! [`Simulator::resume_source`] checks the rest against the simulator
-//! before restoring anything: benchmark, cores, scheme, RT, classifier,
-//! tile/link/controller counts, and every slot inside its cache and in its
-//! tag's set.  Once restored, the state must also pass the `lad-check`
-//! invariant catalog ([`Simulator::check_protocol_invariants`]): a body
-//! whose values are each plausible but together incoherent (a line cached
-//! by a core its directory does not track) is rejected before it runs.
+//! a panicking restore constructor.  `restore` checks every value before
+//! it stores it: the header against the source and the simulator
+//! (benchmark, active cores, scheme, RT, classifier), the tile, link and
+//! controller counts against the simulator's, every cache slot against its
+//! cache's geometry (`restore_slot`: inside the cache, in its tag's set,
+//! its line not yet resident), and everything the encoding itself implies
+//! (sharer-list budgets and modes, owners tracked, unique classifier cores,
+//! counters ≤ RT, strictly ascending slots, nonzero stamps ≤ the LRU
+//! clock, positive open-run lengths, a non-zero RNG state, finite
+//! energies).  The first bad value stops the restore, and
+//! [`Simulator::resume_source`] resets the half-restored simulator before
+//! it reports the rejection.  Once restored, the state must also pass the
+//! `lad-check` invariant catalog ([`Simulator::check_protocol_invariants`]):
+//! a body whose values are each plausible but together incoherent (a line
+//! cached by a core its directory does not track) is rejected before it
+//! runs.
 
 use std::fmt;
 
-use lad_cache::CacheState;
 use lad_coherence::ackwise::AckwiseSharers;
 use lad_coherence::directory::DirectoryEntry;
 use lad_coherence::mesi::MesiState;
-use lad_common::collections::FastMap;
 use lad_common::json::JsonValue;
+use lad_common::rng::DeterministicRng;
 use lad_common::stats::Histogram;
 use lad_common::types::{CacheLine, CoreId, Cycle, DataClass};
 use lad_dram::DramControllerState;
-use lad_energy::accounting::{Component, EnergyAccounting};
+use lad_energy::accounting::Component;
 use lad_noc::NetworkState;
 use lad_replication::classifier::{
     ClassifierKind, LocalityClassifier, ReplicationMode, TrackedCore,
@@ -100,36 +104,20 @@ use lad_replication::entry::{HomeEntry, LlcEntry, ReplicaEntry};
 use lad_traceio::varint;
 use lad_traceio::TraceError;
 
-use crate::metrics::{ClassifierStats, LatencyBreakdown, MissBreakdown, RunLengthProfile};
+use crate::engine::Simulator;
+use crate::metrics::{LatencyBreakdown, MissBreakdown};
 use crate::tile::Tile;
-
-#[cfg(doc)]
-use crate::Simulator;
 
 /// The body encoding [`EngineCheckpoint::to_json`] writes and
 /// [`EngineCheckpoint::from_json`] accepts.
 pub const FORMAT: u64 = 2;
-
-/// One decoded tile: core clock plus the three cache arrays.
-#[derive(Debug, Clone)]
-pub struct TileCheckpoint {
-    /// The core's local clock.
-    pub clock: Cycle,
-    /// The L1 instruction cache.
-    pub l1i: CacheState<MesiState>,
-    /// The L1 data cache.
-    pub l1d: CacheState<MesiState>,
-    /// The LLC slice (home lines and replicas).
-    pub llc: CacheState<LlcEntry>,
-}
 
 /// A resumable mid-stream snapshot of a [`Simulator`]: the binary body of
 /// the module docs, and nothing else.
 ///
 /// Captured by [`Simulator::capture_checkpoint`] at a scheduling-loop
 /// boundary; [`Simulator::resume_source`] continues the run from it with
-/// results byte-identical to never having stopped.  Its contents are read
-/// through [`EngineCheckpoint::decode`].
+/// results byte-identical to never having stopped.
 #[derive(Clone, PartialEq, Eq)]
 pub struct EngineCheckpoint {
     body: Vec<u8>,
@@ -141,88 +129,13 @@ impl fmt::Debug for EngineCheckpoint {
     }
 }
 
-/// A checkpoint body decoded into plain data — what resume validates
-/// against the simulator and restores.
-#[derive(Debug, Clone)]
-pub struct DecodedCheckpoint {
-    /// Benchmark (stream) name — resume validates it against the source.
-    pub benchmark: String,
-    /// Cores the stream spans.
-    pub num_cores: usize,
-    /// Scheme label — resume validates it against the simulator.
-    pub scheme: String,
-    /// The replication threshold RT the classifier state was captured under.
-    pub replication_threshold: u32,
-    /// Classifier capacity: `None` = Complete, `Some(k)` = Limited_k.
-    pub classifier_capacity: Option<usize>,
-    /// Per-tile state, in core order (all tiles, not just active cores).
-    pub tiles: Vec<TileCheckpoint>,
-    /// Network link occupancy and energy event counts.
-    pub network: NetworkState,
-    /// Per-controller DRAM state.
-    pub dram: Vec<DramControllerState>,
-    /// The deterministic RNG's word state.
-    pub rng: [u64; 4],
-    /// Dynamic energy accumulated so far (cache/directory events only; the
-    /// network and DRAM components are re-derived from their event counts).
-    pub energy: EnergyAccounting,
-    /// Completion-time components accumulated so far.
-    pub latency: LatencyBreakdown,
-    /// L1 miss breakdown accumulated so far.
-    pub misses: MissBreakdown,
-    /// Run-length profile, including still-open runs.
-    pub run_lengths: RunLengthProfile,
-    /// Per-line home-serialization horizon, sorted by line.
-    pub line_busy_until: Vec<(CacheLine, Cycle)>,
-    /// Total LLC replicas created.
-    pub replicas_created: u64,
-    /// Total back-invalidations from LLC evictions.
-    pub back_invalidations: u64,
-    /// Total accesses stepped.
-    pub total_accesses: u64,
-    /// Capture-time classifier variance totals (retired + live).  The
-    /// per-entry diagnostic counters are *not* serialized — restored
-    /// classifiers restart at the `from_snapshot` baseline and these
-    /// totals seed the simulator's retired accumulators instead.
-    pub classifier: ClassifierStats,
-    /// Accesses each core has stepped — the stream cursor used to
-    /// fast-forward the source on resume.
-    pub consumed: Vec<u64>,
-}
-
-/// The live engine state a checkpoint encodes, borrowed from the
-/// [`Simulator`] at a scheduling-loop boundary.
-pub(crate) struct LiveEngine<'a> {
-    pub(crate) benchmark: &'a str,
-    pub(crate) num_cores: usize,
-    pub(crate) scheme: &'a str,
-    pub(crate) replication_threshold: u32,
-    pub(crate) classifier_capacity: Option<usize>,
-    pub(crate) tiles: &'a [Tile],
-    pub(crate) network: NetworkState,
-    pub(crate) dram: Vec<DramControllerState>,
-    pub(crate) rng: [u64; 4],
-    pub(crate) energy: &'a EnergyAccounting,
-    pub(crate) latency: LatencyBreakdown,
-    pub(crate) misses: MissBreakdown,
-    pub(crate) run_lengths: &'a RunLengthProfile,
-    pub(crate) line_busy_until: &'a FastMap<CacheLine, Cycle>,
-    pub(crate) replicas_created: u64,
-    pub(crate) back_invalidations: u64,
-    pub(crate) total_accesses: u64,
-    /// Classifier variance folded in from evicted home entries; the
-    /// encoder adds the live entries' in its walk of the LLC slices.
-    pub(crate) retired_classifier: ClassifierStats,
-    pub(crate) consumed: &'a [u64],
-}
-
 /// Why [`Simulator::resume_source`] could not continue a run.
 #[derive(Debug)]
 pub enum ResumeError {
     /// The checkpoint cannot continue this run: it does not fit the source
     /// or simulator (another benchmark, core count, scheme, classifier or
     /// geometry, or a cursor past the end of the stream), or the restored
-    /// state violates a protocol invariant.  Nothing useful was restored;
+    /// state violates a protocol invariant.  The simulator has been reset;
     /// the caller should run from access 0 instead.
     Rejected(String),
     /// The trace source failed.
@@ -406,21 +319,26 @@ impl EngineCheckpoint {
     /// Encodes the live engine into the body of the module docs — the only
     /// encoder.  Each cache is read in place through its borrowing
     /// `slots`, and the classifier totals of section 10 are summed in the
-    /// same walk of the LLC slices.
-    pub(crate) fn capture(live: &LiveEngine<'_>) -> Self {
+    /// same walk of the LLC slices.  `consumed` is the per-core stream
+    /// cursor.
+    pub(crate) fn capture(sim: &Simulator, consumed: &[u64]) -> Self {
         let mut out = Vec::new();
-        put_str(&mut out, live.benchmark);
-        put(&mut out, live.num_cores as u64);
-        put_str(&mut out, live.scheme);
-        put(&mut out, u64::from(live.replication_threshold));
+        put_str(&mut out, &sim.benchmark);
+        put(&mut out, sim.active_cores as u64);
+        put_str(&mut out, &sim.replication.label());
+        put(&mut out, u64::from(sim.replication.replication_threshold()));
         put(
             &mut out,
-            live.classifier_capacity.map_or(0, |k| k as u64 + 1),
+            sim.replication
+                .classifier
+                .capacity()
+                .map_or(0, |k| k as u64 + 1),
         );
 
-        let mut classifier = live.retired_classifier;
-        put(&mut out, live.tiles.len() as u64);
-        for tile in live.tiles {
+        let (mut mode_flips, mut peak_tracked) =
+            (sim.retired_classifier_flips, sim.retired_classifier_peak);
+        put(&mut out, sim.tiles.len() as u64);
+        for tile in &sim.tiles {
             put(&mut out, tile.clock.value());
             for l1 in [&tile.l1i, &tile.l1d] {
                 put_cache(&mut out, l1.clock(), l1.len(), l1.slots(), |out, state| {
@@ -435,33 +353,32 @@ impl EngineCheckpoint {
                 llc.slots(),
                 |out, entry| {
                     if let LlcEntry::Home(home) = entry {
-                        classifier.mode_flips += home.classifier.mode_flips();
-                        classifier.peak_tracked = classifier
-                            .peak_tracked
-                            .max(home.classifier.peak_tracked() as u64);
+                        mode_flips += home.classifier.mode_flips();
+                        peak_tracked = peak_tracked.max(home.classifier.peak_tracked() as u64);
                     }
                     put_llc_entry(out, entry);
                 },
             );
         }
 
-        let network = &live.network;
+        let network = sim.network.state();
         put(&mut out, network.links.len() as u64);
         put_all(&mut out, network.links.iter().map(|busy| busy.value()));
         put_all(&mut out, [network.flit_hops, network.router_traversals]);
-        put(&mut out, live.dram.len() as u64);
-        for controller in &live.dram {
+        let dram = sim.dram.state();
+        put(&mut out, dram.len() as u64);
+        for controller in &dram {
             put_all(&mut out, [controller.free_at.value(), controller.accesses]);
         }
 
-        for word in live.rng {
+        for word in sim.rng.state() {
             out.extend_from_slice(&word.to_le_bytes());
         }
-        for (_, pj) in live.energy.iter() {
+        for (_, pj) in sim.energy.iter() {
             out.extend_from_slice(&pj.to_bits().to_le_bytes());
         }
-        put_all(&mut out, live.latency.values());
-        let misses = &live.misses;
+        put_all(&mut out, sim.latency.values());
+        let misses = &sim.misses;
         put_all(
             &mut out,
             [
@@ -472,13 +389,13 @@ impl EngineCheckpoint {
             ],
         );
 
-        let histograms = live.run_lengths.histograms();
+        let histograms = sim.run_lengths.histograms();
         put(&mut out, histograms.len() as u64);
         for (class, histogram) in histograms {
             out.push(class_byte(*class));
             put_histogram(&mut out, &histogram.iter().collect::<Vec<_>>());
         }
-        let open_runs = live.run_lengths.open_runs();
+        let open_runs = sim.run_lengths.open_runs();
         put(&mut out, open_runs.len() as u64);
         let mut line_at = 0;
         for (line, core, count, class) in open_runs {
@@ -486,7 +403,7 @@ impl EngineCheckpoint {
             put_all(&mut out, [core.index() as u64, count]);
             out.push(class_byte(class));
         }
-        let mut busy: Vec<(CacheLine, Cycle)> = live
+        let mut busy: Vec<(CacheLine, Cycle)> = sim
             .line_busy_until
             .iter()
             .map(|(line, cycle)| (*line, *cycle))
@@ -502,15 +419,40 @@ impl EngineCheckpoint {
         put_all(
             &mut out,
             [
-                live.replicas_created,
-                live.back_invalidations,
-                live.total_accesses,
-                classifier.mode_flips,
-                classifier.peak_tracked,
+                sim.replicas_created,
+                sim.back_invalidations,
+                sim.total_accesses,
+                mode_flips,
+                peak_tracked,
             ],
         );
-        put_all(&mut out, live.consumed.iter().copied());
+        put_all(&mut out, consumed.iter().copied());
         EngineCheckpoint { body: out }
+    }
+
+    /// Decodes the body straight into `sim`, which [`Simulator::begin`]
+    /// has just reset for the source being resumed, and returns the
+    /// stream cursor — the only decoder, the mirror of `capture`.  Every
+    /// value is checked before it is stored (see the module docs); the
+    /// home map and per-line classes are left to the profiling pass.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first value that does not fit: a header or
+    /// count that differs from the simulator's, a slot outside its cache,
+    /// a truncated or overlong body, or state that violates a protocol
+    /// invariant.  `sim` is then partly restored and must be reset.
+    pub(crate) fn restore(&self, sim: &mut Simulator) -> Result<Vec<u64>, String> {
+        let mut body = Body {
+            bytes: &self.body,
+            pos: 0,
+            tiles: sim.tiles.len(),
+        };
+        let consumed = body.restore(sim)?;
+        match self.body.len() - body.pos {
+            0 => Ok(consumed),
+            extra => Err(format!("checkpoint body has {extra} trailing bytes")),
+        }
     }
 
     /// The checkpoint as `{"format": 2, "bytes": "<hex>"}` — the body,
@@ -528,8 +470,8 @@ impl EngineCheckpoint {
 
     /// Reads a checkpoint from [`EngineCheckpoint::to_json`] output.  It
     /// checks the `format` and the hex only: the body is decoded, and so
-    /// validated, once, by [`EngineCheckpoint::decode`], which
-    /// [`Simulator::resume_source`] runs before it restores anything.
+    /// validated, once, by the restore that [`Simulator::resume_source`]
+    /// runs.
     ///
     /// # Errors
     ///
@@ -549,26 +491,6 @@ impl EngineCheckpoint {
             lad_common::hex::decode(text).map_err(|err| format!("checkpoint bytes: {err}"))?;
         Ok(EngineCheckpoint { body })
     }
-
-    /// Decodes the body into plain data, validating everything that needs
-    /// no simulator geometry (see the module docs) — the only decoder.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem: a truncated or overlong
-    /// body, or state that violates a protocol invariant.
-    pub fn decode(&self) -> Result<DecodedCheckpoint, String> {
-        let mut body = Body {
-            bytes: &self.body,
-            pos: 0,
-            tiles: 0,
-        };
-        let checkpoint = body.checkpoint()?;
-        match self.body.len() - body.pos {
-            0 => Ok(checkpoint),
-            extra => Err(format!("checkpoint body has {extra} trailing bytes")),
-        }
-    }
 }
 
 // ----- decoding -----------------------------------------------------------
@@ -578,7 +500,7 @@ impl EngineCheckpoint {
 struct Body<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Tile count once known: every core index must fall below it.
+    /// The simulator's tile count: every core index must fall below it.
     tiles: usize,
 }
 
@@ -689,41 +611,69 @@ impl Body<'_> {
             .ok_or_else(|| format!("{what} {byte} is not a data class"))
     }
 
-    /// Histogram samples: strictly ascending values, positive counts whose
-    /// total fits a `u64`.
-    fn histogram(&mut self, what: &'static str) -> Result<Vec<(u64, u64)>, String> {
+    /// A histogram: strictly ascending values, positive counts whose total
+    /// fits a `u64`.
+    fn histogram(&mut self, what: &'static str) -> Result<Histogram, String> {
         let (mut last, mut total) = (None, 0u64);
-        self.list(what, |body| {
-            let value = body.ascending(&mut last, what)?;
-            let count = body.u64(what)?;
+        let mut histogram = Histogram::new();
+        for _ in 0..self.count(what)? {
+            let value = self.ascending(&mut last, what)?;
+            let count = self.u64(what)?;
             total = total
                 .checked_add(count)
                 .filter(|_| count > 0)
                 .ok_or_else(|| format!("{what} has a zero or overflowing count"))?;
-            Ok((value, count))
-        })
+            histogram.record_weighted(value, count);
+        }
+        Ok(histogram)
     }
 
+    /// One cache: its LRU clock, then each occupied slot, checked and
+    /// handed to `restore` (the cache's `restore_slot`).  Returns the clock
+    /// for the caller to set after the last slot.
     fn cache<V>(
         &mut self,
         what: &'static str,
         mut entry: impl FnMut(&mut Self) -> Result<V, String>,
-    ) -> Result<CacheState<V>, String> {
+        mut restore: impl FnMut(usize, u64, u64, V) -> Result<(), String>,
+    ) -> Result<u64, String> {
         let clock = self.u64(what)?;
         let (mut slot_at, mut tag_at) = (None, 0);
-        let slots = self.list(what, |body| {
-            let slot = body.ascending(&mut slot_at, what)?;
+        for _ in 0..self.count(what)? {
+            let slot = self.ascending(&mut slot_at, what)?;
             let slot = usize::try_from(slot).map_err(|_| format!("{what} slot is out of range"))?;
-            let tag = body.delta(&mut tag_at, what)?;
-            let stamp = body.u64(what)?;
+            let tag = self.delta(&mut tag_at, what)?;
+            let stamp = self.u64(what)?;
             if stamp == 0 || stamp > clock {
                 return Err(format!(
                     "{what} slot {slot} has stamp {stamp} outside 1..={clock}"
                 ));
             }
-            Ok((slot, tag, stamp, entry(body)?))
-        })?;
-        Ok(CacheState { slots, clock })
+            let value = entry(self)?;
+            restore(slot, tag, stamp, value).map_err(|why| format!("{what}: {why}"))?;
+        }
+        Ok(clock)
+    }
+
+    /// One tile: its clock and its three caches.
+    fn tile(&mut self, tile: &mut Tile, rt: u32, kind: ClassifierKind) -> Result<(), String> {
+        tile.clock = Cycle::new(self.u64("tile clock")?);
+        for (what, l1) in [("L1-I", &mut tile.l1i), ("L1-D", &mut tile.l1d)] {
+            let clock = self.cache(
+                what,
+                |body| body.mesi(what),
+                |slot, tag, stamp, state| l1.restore_slot(slot, tag, stamp, state),
+            )?;
+            l1.set_clock(clock);
+        }
+        let llc = &mut tile.llc;
+        let clock = self.cache(
+            "LLC",
+            |body| body.llc_entry(rt, kind),
+            |slot, tag, stamp, entry| llc.restore_slot(slot, tag, stamp, entry),
+        )?;
+        llc.set_clock(clock);
+        Ok(())
     }
 
     fn llc_entry(&mut self, rt: u32, kind: ClassifierKind) -> Result<LlcEntry, String> {
@@ -807,51 +757,47 @@ impl Body<'_> {
         }))
     }
 
-    fn checkpoint(&mut self) -> Result<DecodedCheckpoint, String> {
-        let benchmark = self.str("benchmark name")?;
-        let num_cores: usize = self.int("active cores")?;
-        let scheme = self.str("scheme label")?;
-        let rt: u32 = self.int("replication threshold")?;
-        let classifier_capacity = match self.int::<usize>("classifier capacity")? {
+    /// Decodes the whole body into `sim`, section by section, and returns
+    /// the stream cursor.
+    fn restore(&mut self, sim: &mut Simulator) -> Result<Vec<u64>, String> {
+        same(
+            "benchmark",
+            self.str("benchmark name")?.as_str(),
+            sim.benchmark.as_str(),
+        )?;
+        same("active cores", self.int("active cores")?, sim.active_cores)?;
+        let label = sim.replication.label();
+        same("scheme", self.str("scheme label")?.as_str(), label.as_str())?;
+        let rt = sim.replication.replication_threshold();
+        same("RT", self.int("replication threshold")?, rt)?;
+        let kind = sim.replication.classifier;
+        let capacity = match self.int::<usize>("classifier capacity")? {
             0 => None,
             k => Some(k - 1),
         };
-        if rt == 0 || classifier_capacity == Some(0) {
-            return Err(format!(
-                "RT {rt} and classifier capacity {classifier_capacity:?} must be positive"
-            ));
-        }
-        let kind = classifier_capacity.map_or(ClassifierKind::Complete, ClassifierKind::Limited);
+        same("classifier capacity", capacity, kind.capacity())?;
 
-        self.tiles = self.count("tile count")?;
-        if num_cores > self.tiles {
-            return Err(format!(
-                "{num_cores} active cores exceed the {} tiles",
-                self.tiles
-            ));
+        same("tiles", self.count("tile count")?, sim.tiles.len())?;
+        for (core, tile) in sim.tiles.iter_mut().enumerate() {
+            self.tile(tile, rt, kind)
+                .map_err(|why| format!("tile {core}: {why}"))?;
         }
-        let tiles = (0..self.tiles)
-            .map(|_| {
-                Ok(TileCheckpoint {
-                    clock: Cycle::new(self.u64("tile clock")?),
-                    l1i: self.cache("L1-I", |body| body.mesi("L1-I state"))?,
-                    l1d: self.cache("L1-D", |body| body.mesi("L1-D state"))?,
-                    llc: self.cache("LLC", |body| body.llc_entry(rt, kind))?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
 
-        let network = NetworkState {
-            links: self.list("links", |body| Ok(Cycle::new(body.u64("link horizon")?)))?,
+        let links = self.list("links", |body| Ok(Cycle::new(body.u64("link horizon")?)))?;
+        same("links", links.len(), sim.network.mesh().num_links())?;
+        sim.network.restore_state(&NetworkState {
+            links,
             flit_hops: self.u64("network flit hops")?,
             router_traversals: self.u64("network router traversals")?,
-        };
+        });
         let dram = self.list("DRAM controllers", |body| {
             Ok(DramControllerState {
                 free_at: Cycle::new(body.u64("DRAM horizon")?),
                 accesses: body.u64("DRAM accesses")?,
             })
         })?;
+        same("DRAM controllers", dram.len(), sim.dram.num_controllers())?;
+        sim.dram.restore_state(&dram);
 
         let mut rng = [0u64; 4];
         for word in &mut rng {
@@ -860,89 +806,79 @@ impl Body<'_> {
         if rng == [0; 4] {
             return Err("the all-zero RNG state is not a valid xoshiro256++ state".to_string());
         }
-        let mut energy = EnergyAccounting::new();
+        sim.rng = DeterministicRng::from_state(rng);
         for component in Component::ALL {
             let pj = f64::from_bits(self.word("energy")?);
             if !(pj.is_finite() && pj >= 0.0) {
                 return Err(format!("energy of {component} is {pj}"));
             }
-            energy.record(component, pj);
+            sim.energy.record(component, pj);
         }
         let mut latency = [0u64; 7];
         for value in &mut latency {
             *value = self.u64("latency breakdown")?;
         }
-        let misses = MissBreakdown {
+        sim.latency = LatencyBreakdown::from_values(latency);
+        sim.misses = MissBreakdown {
             l1_hits: self.u64("miss breakdown")?,
             llc_replica_hits: self.u64("miss breakdown")?,
             llc_home_hits: self.u64("miss breakdown")?,
             offchip_misses: self.u64("miss breakdown")?,
         };
 
-        let mut run_lengths = RunLengthProfile::new();
         let mut last_class = None;
-        for (class, samples) in self.list("run-length classes", |body| {
-            let class = body.class("run-length class")?;
+        for _ in 0..self.count("run-length classes")? {
+            let class = self.class("run-length class")?;
             if last_class.is_some_and(|last| class <= last) {
                 return Err("run-length classes are not strictly ascending".to_string());
             }
             last_class = Some(class);
-            Ok((class, body.histogram("run lengths")?))
-        })? {
-            let mut histogram = Histogram::new();
-            for (value, count) in samples {
-                histogram.record_weighted(value, count);
-            }
-            run_lengths.restore_histogram(class, histogram);
+            let histogram = self.histogram("run lengths")?;
+            sim.run_lengths.restore_histogram(class, histogram);
         }
         let mut last_line = None;
-        for (line, core, count, class) in self.list("open runs", |body| {
-            Ok((
-                body.ascending(&mut last_line, "open-run line")?,
-                body.core("open-run core")?,
-                body.u64("open-run length")?,
-                body.class("open-run class")?,
-            ))
-        })? {
+        for _ in 0..self.count("open runs")? {
+            let line = self.ascending(&mut last_line, "open-run line")?;
+            let core = self.core("open-run core")?;
+            let count = self.u64("open-run length")?;
+            let class = self.class("open-run class")?;
             if count == 0 {
                 return Err(format!("open run on line {line:#x} is empty"));
             }
-            run_lengths.restore_open_run(CacheLine::from_index(line), core, count, class);
+            sim.run_lengths
+                .restore_open_run(CacheLine::from_index(line), core, count, class);
         }
         let mut last_line = None;
-        let line_busy_until = self.list("busy lines", |body| {
-            Ok((
-                CacheLine::from_index(body.ascending(&mut last_line, "busy line")?),
-                Cycle::new(body.u64("busy horizon")?),
-            ))
-        })?;
+        for _ in 0..self.count("busy lines")? {
+            let line = self.ascending(&mut last_line, "busy line")?;
+            let busy = Cycle::new(self.u64("busy horizon")?);
+            sim.line_busy_until
+                .insert(CacheLine::from_index(line), busy);
+        }
 
-        Ok(DecodedCheckpoint {
-            benchmark,
-            num_cores,
-            scheme,
-            replication_threshold: rt,
-            classifier_capacity,
-            tiles,
-            network,
-            dram,
-            rng,
-            energy,
-            latency: LatencyBreakdown::from_values(latency),
-            misses,
-            run_lengths,
-            line_busy_until,
-            replicas_created: self.u64("replicas created")?,
-            back_invalidations: self.u64("back-invalidations")?,
-            total_accesses: self.u64("total accesses")?,
-            classifier: ClassifierStats {
-                mode_flips: self.u64("classifier mode flips")?,
-                peak_tracked: self.u64("classifier peak")?,
-            },
-            consumed: (0..num_cores)
-                .map(|_| self.u64("stream cursor"))
-                .collect::<Result<_, _>>()?,
-        })
+        sim.replicas_created = self.u64("replicas created")?;
+        sim.back_invalidations = self.u64("back-invalidations")?;
+        sim.total_accesses = self.u64("total accesses")?;
+        // The restored live classifiers restart their diagnostic counters
+        // at the from_snapshot baseline, so the capture-time totals seed
+        // the retired accumulators: report() then reproduces the straight
+        // run's numbers exactly (the post-capture deltas are identical).
+        sim.retired_classifier_flips = self.u64("classifier mode flips")?;
+        sim.retired_classifier_peak = self.u64("classifier peak")?;
+        (0..sim.active_cores)
+            .map(|_| self.u64("stream cursor"))
+            .collect()
+    }
+}
+
+/// `Ok` if the checkpoint's `theirs` is this run's `ours`.
+fn same<T: PartialEq + fmt::Debug>(what: &str, theirs: T, ours: T) -> Result<(), String> {
+    if theirs == ours {
+        Ok(())
+    } else {
+        Err(format!(
+            "checkpoint was captured with {what} {theirs:?}, this run has {ours:?}"
+        ))
     }
 }
 
@@ -1014,10 +950,14 @@ mod tests {
         let reloaded = EngineCheckpoint::from_json(&reparsed).unwrap();
         assert_eq!(reloaded, checkpoint);
         assert_eq!(reloaded.to_json().pretty(), text);
-        let decoded = reloaded.decode().unwrap();
-        assert_eq!(decoded.total_accesses, 200);
-        assert_eq!(decoded.consumed.iter().sum::<u64>(), 200);
-        assert_eq!(decoded.benchmark, "BARNES");
+        let mut sim = Simulator::new(
+            SystemConfig::small_test(),
+            ReplicationConfig::locality_aware(3),
+        );
+        sim.begin("BARNES", 16);
+        let consumed = reloaded.restore(&mut sim).unwrap();
+        assert_eq!(sim.total_accesses, 200);
+        assert_eq!(consumed.iter().sum::<u64>(), 200);
     }
 
     #[test]
@@ -1051,18 +991,31 @@ mod tests {
         let json = captured_checkpoint().to_json();
         let hex = json.get("bytes").and_then(JsonValue::as_str).unwrap();
         let bytes = body(&json);
-        let decode = |bytes: &[u8]| EngineCheckpoint::from_json(&document(bytes))?.decode();
-        assert!(decode(&bytes).is_ok());
+        let trace = trace(400);
+        let mut sim = Simulator::new(
+            SystemConfig::small_test(),
+            ReplicationConfig::locality_aware(3),
+        );
+        let mut resume = |bytes: &[u8]| -> Result<(), String> {
+            let checkpoint = EngineCheckpoint::from_json(&document(bytes))?;
+            let mut source = MemorySource::new(&trace);
+            let mut stop = StopAfter::new(1);
+            match sim.resume_source(&mut source, &checkpoint, Some(&mut stop)) {
+                Ok(_) => Ok(()),
+                Err(err) => Err(err.to_string()),
+            }
+        };
+        assert_eq!(resume(&bytes), Ok(()));
 
         // Truncated blobs, cut anywhere, and a trailing byte: `from_json`
-        // reads only the format and the hex, and the one decode rejects
-        // the body.
+        // reads only the format and the hex, and the one decode, the
+        // restore inside `resume_source`, rejects the body.
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(resume(&bytes[..cut]).is_err(), "cut at {cut}");
         }
         let mut longer = bytes.clone();
         longer.push(0);
-        let err = decode(&longer).unwrap_err();
+        let err = resume(&longer).unwrap_err();
         assert!(err.contains("trailing"), "{err}");
 
         // Bad hex: a non-digit, and an odd digit count.
@@ -1174,15 +1127,17 @@ mod tests {
         let text = checkpoint.to_json().pretty();
         let reloaded = EngineCheckpoint::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(reloaded, checkpoint);
-        let decoded = reloaded.decode().unwrap();
-        assert!(decoded.rng.iter().any(|&word| word > 1 << 53));
-        assert!(!decoded.line_busy_until.is_empty());
+        let mut sim = Simulator::new(
+            SystemConfig::small_test(),
+            ReplicationConfig::locality_aware(3),
+        );
+        sim.begin(lifted.name(), lifted.num_cores());
+        reloaded.restore(&mut sim).unwrap();
+        assert!(sim.rng.state().iter().any(|&word| word > 1 << 53));
+        assert!(!sim.line_busy_until.is_empty());
         let lifted_line = |line: CacheLine| line.index() >> 56 == 1;
-        assert!(decoded
-            .line_busy_until
-            .iter()
-            .all(|&(line, _)| lifted_line(line)));
-        assert!(decoded
+        assert!(sim.line_busy_until.keys().all(|&line| lifted_line(line)));
+        assert!(sim
             .run_lengths
             .open_runs()
             .iter()

@@ -31,7 +31,7 @@ use lad_trace::generator::WorkloadTrace;
 use lad_traceio::error::TraceError;
 use lad_traceio::source::{MemorySource, TraceSource};
 
-use crate::checkpoint::{DecodedCheckpoint, EngineCheckpoint, LiveEngine, ResumeError};
+use crate::checkpoint::{EngineCheckpoint, ResumeError};
 use crate::metrics::{
     ClassifierStats, LatencyBreakdown, MissBreakdown, RunLengthProfile, SimulationReport,
 };
@@ -207,34 +207,36 @@ fn home_entry(tiles: &mut [Tile], home: CoreId, line: CacheLine) -> &mut HomeEnt
 ///    mid-stream and be called again after more steps.
 #[derive(Debug)]
 pub struct Simulator {
+    // The `pub(crate)` fields are the run state the checkpoint module
+    // captures and restores.
     system: SystemConfig,
-    replication: ReplicationConfig,
+    pub(crate) replication: ReplicationConfig,
     policy: Arc<dyn ReplicationPolicy>,
     energy_model: EnergyModel,
-    benchmark: String,
-    active_cores: usize,
+    pub(crate) benchmark: String,
+    pub(crate) active_cores: usize,
 
-    tiles: Vec<Tile>,
-    network: Network,
-    dram: DramSystem,
+    pub(crate) tiles: Vec<Tile>,
+    pub(crate) network: Network,
+    pub(crate) dram: DramSystem,
     home_map: HomeMap,
     // Point-lookup-only state whose iteration order never feeds a report;
     // the fixed-seed fast maps keep the per-access lookups cheap.
     line_class: FastMap<CacheLine, DataClass>,
-    line_busy_until: FastMap<CacheLine, Cycle>,
-    rng: DeterministicRng,
+    pub(crate) line_busy_until: FastMap<CacheLine, Cycle>,
+    pub(crate) rng: DeterministicRng,
 
-    energy: EnergyAccounting,
-    latency: LatencyBreakdown,
-    misses: MissBreakdown,
-    run_lengths: RunLengthProfile,
-    replicas_created: u64,
-    back_invalidations: u64,
-    total_accesses: u64,
+    pub(crate) energy: EnergyAccounting,
+    pub(crate) latency: LatencyBreakdown,
+    pub(crate) misses: MissBreakdown,
+    pub(crate) run_lengths: RunLengthProfile,
+    pub(crate) replicas_created: u64,
+    pub(crate) back_invalidations: u64,
+    pub(crate) total_accesses: u64,
     // Classifier variance folded in from home entries retired by LLC
     // eviction; report() combines these with a walk of the live entries.
-    retired_classifier_flips: u64,
-    retired_classifier_peak: u64,
+    pub(crate) retired_classifier_flips: u64,
+    pub(crate) retired_classifier_peak: u64,
 
     obs: EngineMetrics,
 }
@@ -378,6 +380,12 @@ impl Simulator {
     /// is furthest behind).
     pub fn core_clock(&self, core: CoreId) -> Cycle {
         self.tiles[core.index()].clock
+    }
+
+    /// The tiles, in core order: each core's clock, L1 caches and LLC
+    /// slice, read-only.
+    pub fn tiles(&self) -> &[Tile] {
+        &self.tiles
     }
 
     /// The network, DRAM and home map of a new run.  They are small, so
@@ -642,25 +650,28 @@ impl Simulator {
     /// benchmark, scheme and configuration, producing results byte-identical
     /// to the uninterrupted run.
     ///
-    /// The home map and per-line data classes are rebuilt by re-running the
-    /// profiling pass (their final state is order-independent and they never
-    /// change after profiling); each core's stream is then fast-forwarded by
-    /// its [`DecodedCheckpoint::consumed`] cursor and the scheduling loop
-    /// continues — rebuilding the scheduler heap from the restored clocks
-    /// reproduces the continuation schedule exactly, because the next core
-    /// is always the minimum `(clock, core)` key over the pending set.
+    /// [`Simulator::begin`] resets the simulator for the source, and the
+    /// checkpoint body is decoded straight into it, each value checked
+    /// before it is stored.  The home map and per-line data classes are then
+    /// rebuilt by re-running the profiling pass (their final state is
+    /// order-independent and they never change after profiling), the
+    /// restored state is checked against the `lad-check` invariant catalog,
+    /// each core's stream is fast-forwarded by the checkpoint's cursor, and
+    /// the scheduling loop continues — rebuilding the scheduler heap from
+    /// the restored clocks reproduces the continuation schedule exactly,
+    /// because the next core is always the minimum `(clock, core)` key over
+    /// the pending set.
     ///
     /// # Errors
     ///
-    /// [`ResumeError::Rejected`] — before any state is touched — if the
-    /// checkpoint does not decode ([`EngineCheckpoint::decode`]), or does
-    /// not fit the source (benchmark name, core count) or
+    /// [`ResumeError::Rejected`], with the simulator reset, if the body does
+    /// not decode or does not fit the source (benchmark name, core count) or
     /// this simulator (scheme label, replication threshold, classifier
-    /// organization, tile, link and controller counts, cache geometry); after
-    /// the profiling pass if the restored state violates the protocol
-    /// invariant catalog or the stream is shorter than the checkpoint's
-    /// cursor; [`ResumeError::Trace`] for anything [`Simulator::run_source`]
-    /// can fail with.
+    /// organization, tile, link and controller counts, cache geometry) —
+    /// all found before the profiling pass — or if the restored state
+    /// violates the protocol invariant catalog or the stream is shorter than
+    /// the checkpoint's cursor; [`ResumeError::Trace`] for anything
+    /// [`Simulator::run_source`] can fail with.
     pub fn resume_source(
         &mut self,
         source: &mut dyn TraceSource,
@@ -675,18 +686,19 @@ impl Simulator {
                 limit: self.system.num_cores,
             }));
         }
-        let checkpoint = checkpoint.decode().map_err(ResumeError::Rejected)?;
-        self.check_checkpoint_fits(&checkpoint, &name, num_cores)
-            .map_err(ResumeError::Rejected)?;
         self.begin(&name, num_cores);
+        let consumed = match checkpoint.restore(self) {
+            Ok(consumed) => consumed,
+            Err(why) => return Err(self.reject(why)),
+        };
         self.profile_source(source)?;
         source.rewind()?;
-        let consumed = self.restore_from_checkpoint(checkpoint);
         if let Some(violation) = self.check_protocol_invariants().first() {
-            return Err(ResumeError::Rejected(format!(
+            let why = format!(
                 "restored state violates [{}]: {}",
                 violation.invariant, violation.details
-            )));
+            );
+            return Err(self.reject(why));
         }
         // Fast-forward every core's stream past the accesses it has already
         // stepped; the remaining per-core suffixes are exactly the pending
@@ -694,7 +706,7 @@ impl Simulator {
         for (core, &cursor) in consumed.iter().enumerate() {
             for _ in 0..cursor {
                 if source.next_for_core(CoreId::new(core))?.is_none() {
-                    return Err(ResumeError::Rejected(format!(
+                    return Err(self.reject(format!(
                         "stream for core {core} is shorter than the checkpoint cursor {cursor}"
                     )));
                 }
@@ -703,62 +715,11 @@ impl Simulator {
         Ok(self.execute_source(source, num_cores, consumed, observer)?)
     }
 
-    /// The checks [`Simulator::resume_source`] makes against the source and
-    /// this simulator before restoring anything; together with the
-    /// geometry-free checks of [`EngineCheckpoint::decode`] they keep
-    /// every restore constructor below from panicking.
-    fn check_checkpoint_fits(
-        &self,
-        checkpoint: &DecodedCheckpoint,
-        benchmark: &str,
-        num_cores: usize,
-    ) -> Result<(), String> {
-        let differs = |what: &str, theirs: &dyn std::fmt::Debug, ours: &dyn std::fmt::Debug| {
-            Err(format!(
-                "checkpoint was captured with {what} {theirs:?}, this run has {ours:?}"
-            ))
-        };
-        if checkpoint.benchmark != benchmark {
-            return differs("benchmark", &checkpoint.benchmark, &benchmark);
-        }
-        if checkpoint.num_cores != num_cores || checkpoint.consumed.len() != num_cores {
-            return differs("active cores", &checkpoint.consumed.len(), &num_cores);
-        }
-        let label = self.replication.label();
-        if checkpoint.scheme != label {
-            return differs("scheme", &checkpoint.scheme, &label);
-        }
-        let rt = self.replication.replication_threshold();
-        if checkpoint.replication_threshold != rt {
-            return differs("RT", &checkpoint.replication_threshold, &rt);
-        }
-        let capacity = self.replication.classifier.capacity();
-        if checkpoint.classifier_capacity != capacity {
-            return differs(
-                "classifier capacity",
-                &checkpoint.classifier_capacity,
-                &capacity,
-            );
-        }
-        if checkpoint.tiles.len() != self.tiles.len() {
-            return differs("tiles", &checkpoint.tiles.len(), &self.tiles.len());
-        }
-        let links = self.network.mesh().num_links();
-        if checkpoint.network.links.len() != links {
-            return differs("links", &checkpoint.network.links.len(), &links);
-        }
-        let controllers = self.dram.num_controllers();
-        if checkpoint.dram.len() != controllers {
-            return differs("DRAM controllers", &checkpoint.dram.len(), &controllers);
-        }
-        for (core, (tile, snapshot)) in self.tiles.iter().zip(&checkpoint.tiles).enumerate() {
-            tile.l1i
-                .check_state(&snapshot.l1i)
-                .and_then(|()| tile.l1d.check_state(&snapshot.l1d))
-                .and_then(|()| tile.llc.check_state(&snapshot.llc))
-                .map_err(|why| format!("tile {core}: {why}"))?;
-        }
-        Ok(())
+    /// Resets the state a rejected checkpoint left behind and returns the
+    /// rejection.
+    fn reject(&mut self, why: String) -> ResumeError {
+        self.reset();
+        ResumeError::Rejected(why)
     }
 
     /// The profiling pass shared by [`Simulator::run_source_observed`] and
@@ -901,63 +862,7 @@ impl Simulator {
             self.active_cores,
             "one cursor per active core required"
         );
-        EngineCheckpoint::capture(&LiveEngine {
-            benchmark: &self.benchmark,
-            num_cores: self.active_cores,
-            scheme: &self.replication.label(),
-            replication_threshold: self.replication.replication_threshold(),
-            classifier_capacity: self.replication.classifier.capacity(),
-            tiles: &self.tiles,
-            network: self.network.state(),
-            dram: self.dram.state(),
-            rng: self.rng.state(),
-            energy: &self.energy,
-            latency: self.latency,
-            misses: self.misses,
-            run_lengths: &self.run_lengths,
-            line_busy_until: &self.line_busy_until,
-            replicas_created: self.replicas_created,
-            back_invalidations: self.back_invalidations,
-            total_accesses: self.total_accesses,
-            retired_classifier: ClassifierStats {
-                mode_flips: self.retired_classifier_flips,
-                peak_tracked: self.retired_classifier_peak,
-            },
-            consumed,
-        })
-    }
-
-    /// Restores every piece of mutable state from a decoded checkpoint that
-    /// [`Simulator::check_checkpoint_fits`] accepted, and returns its
-    /// stream cursor.  Called after [`Simulator::begin`] and the profiling
-    /// pass — the home map and per-line classes are rebuilt by profiling,
-    /// not restored (see the [`checkpoint`](crate::checkpoint) module).
-    fn restore_from_checkpoint(&mut self, checkpoint: DecodedCheckpoint) -> Vec<u64> {
-        for (tile, snapshot) in self.tiles.iter_mut().zip(checkpoint.tiles) {
-            tile.clock = snapshot.clock;
-            tile.l1i.restore_state(snapshot.l1i);
-            tile.l1d.restore_state(snapshot.l1d);
-            tile.llc.restore_state(snapshot.llc);
-        }
-        self.network.restore_state(&checkpoint.network);
-        self.dram.restore_state(&checkpoint.dram);
-        self.rng = DeterministicRng::from_state(checkpoint.rng);
-        self.energy = checkpoint.energy;
-        self.latency = checkpoint.latency;
-        self.misses = checkpoint.misses;
-        self.run_lengths = checkpoint.run_lengths;
-        self.line_busy_until.clear();
-        self.line_busy_until.extend(checkpoint.line_busy_until);
-        self.replicas_created = checkpoint.replicas_created;
-        self.back_invalidations = checkpoint.back_invalidations;
-        self.total_accesses = checkpoint.total_accesses;
-        // The restored live classifiers restart their diagnostic counters
-        // at the from_snapshot baseline, so the capture-time totals seed
-        // the retired accumulators: report() then reproduces the straight
-        // run's numbers exactly (the post-capture deltas are identical).
-        self.retired_classifier_flips = checkpoint.classifier.mode_flips;
-        self.retired_classifier_peak = checkpoint.classifier.peak_tracked;
-        checkpoint.consumed
+        EngineCheckpoint::capture(self, consumed)
     }
 
     /// Checks the live engine state against the shared `lad-check` invariant
@@ -1953,10 +1858,9 @@ mod tests {
             let reloaded =
                 EngineCheckpoint::from_json(&lad_common::json::JsonValue::parse(&spilled).unwrap())
                     .unwrap();
-            let decoded = reloaded.decode().unwrap();
-            assert_eq!(decoded.total_accesses, 6000);
-            assert_eq!(decoded.consumed.iter().sum::<u64>(), 6000);
-            for (_, _, _, entry) in decoded.tiles.iter().flat_map(|tile| &tile.llc.slots) {
+            // The cancelled simulator holds what the checkpoint carries.
+            assert_eq!(first.total_accesses, 6000);
+            for (.., entry) in first.tiles.iter().flat_map(|tile| tile.llc.slots()) {
                 match entry {
                     LlcEntry::Replica(_) => replicas += 1,
                     LlcEntry::Home(home) => {
@@ -2066,24 +1970,73 @@ mod tests {
     }
 
     #[test]
-    fn resume_rejects_checkpoints_from_another_scheme() {
+    fn resume_rejects_checkpoints_that_do_not_fit_the_run() {
+        // A 16-core RT-3 Limited_3 checkpoint against simulators and sources
+        // that differ in one thing each.  The last two fail in the middle of
+        // the restore: on an LLC slot after tile 0's L1s were restored, and
+        // on the link count after every tile was.  Each rejection must leave
+        // the simulator as `run_source` finds a fresh one.
+        use lad_replication::classifier::ClassifierKind;
+
         let trace = small_trace(Benchmark::Barnes, 300, 42);
-        let mut sim = Simulator::new(
-            SystemConfig::small_test(),
-            ReplicationConfig::locality_aware(3),
+        let rt3 = ReplicationConfig::locality_aware(3);
+        let mut sim = Simulator::new(SystemConfig::small_test(), rt3.clone());
+        let mut stop = StopAfter::new(1000);
+        let checkpoint =
+            match sim.run_source_observed(&mut MemorySource::new(&trace), Some(&mut stop)) {
+                Ok(RunOutcome::Cancelled(checkpoint)) => checkpoint,
+                other => panic!("expected cancellation, got {other:?}"),
+            };
+
+        let mut half_llc = SystemConfig::small_test();
+        half_llc.llc_slice.capacity_bytes /= 2;
+        let mut wide_mesh = SystemConfig::small_test();
+        (wide_mesh.network.mesh_width, wide_mesh.network.mesh_height) = (5, 4);
+        let renamed = WorkloadTrace::new(
+            "OTHER",
+            (0..trace.num_cores())
+                .map(|core| trace.core_stream(CoreId::new(core)).to_vec())
+                .collect(),
         );
-        let mut source = MemorySource::new(&trace);
-        let mut stop = StopAfter::new(100);
-        let checkpoint = match sim.run_source_observed(&mut source, Some(&mut stop)) {
-            Ok(RunOutcome::Cancelled(checkpoint)) => checkpoint,
-            other => panic!("expected cancellation, got {other:?}"),
+        let complete = ReplicationConfig {
+            classifier: ClassifierKind::Complete,
+            ..rt3.clone()
         };
-        let mut other =
-            Simulator::new(SystemConfig::small_test(), ReplicationConfig::static_nuca());
-        let mut source = MemorySource::new(&trace);
-        match other.resume_source(&mut source, &checkpoint, None) {
-            Err(ResumeError::Rejected(why)) => assert!(why.contains("scheme"), "{why}"),
-            other => panic!("expected a scheme mismatch, got {other:?}"),
+        let cases = [
+            (
+                "scheme",
+                SystemConfig::small_test(),
+                ReplicationConfig::static_nuca(),
+                &trace,
+            ),
+            (
+                "classifier capacity",
+                SystemConfig::small_test(),
+                complete,
+                &trace,
+            ),
+            (
+                "benchmark",
+                SystemConfig::small_test(),
+                rt3.clone(),
+                &renamed,
+            ),
+            ("tile 0: LLC: slot", half_llc, rt3.clone(), &trace),
+            ("links 64, this run has 80", wide_mesh, rt3, &trace),
+        ];
+        for (mismatch, system, config, trace) in cases {
+            let mut sim = Simulator::new(system.clone(), config.clone());
+            match sim.resume_source(&mut MemorySource::new(trace), &checkpoint, None) {
+                Err(ResumeError::Rejected(why)) => assert!(why.contains(mismatch), "{why}"),
+                other => panic!("{mismatch}: expected a rejection, got {other:?}"),
+            }
+            let expected = Simulator::new(system, config).run(trace);
+            let rerun = sim.run_source(&mut MemorySource::new(trace)).unwrap();
+            assert_eq!(
+                rerun.to_json().to_string(),
+                expected.to_json().to_string(),
+                "{mismatch}"
+            );
         }
     }
 

@@ -45,7 +45,7 @@ pub mod metrics;
 pub mod schedule;
 pub mod tile;
 
-pub use checkpoint::{DecodedCheckpoint, EngineCheckpoint, ResumeError, TileCheckpoint};
+pub use checkpoint::{EngineCheckpoint, ResumeError};
 pub use engine::{
     AccessOutcome, RunControl, RunObserver, RunOutcome, RunProgress, ServedBy, Simulator, StopAfter,
 };

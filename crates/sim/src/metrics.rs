@@ -716,6 +716,26 @@ mod tests {
     }
 
     #[test]
+    fn run_length_a_read_by_another_core_closes_the_run_today() {
+        // Pins a known defect (ROADMAP item 1, a candidate cause of the
+        // flat Figure 1): `conflicting` is never read, so another core's
+        // read closes the open run as a write would.  Core 0 reads, core 1
+        // reads, core 0 reads: three runs of 1.  The paper, the classifier
+        // (`on_home_write`) and this profile's own docs end other cores'
+        // runs only on writes, which would give core 0 one run of 2 beside
+        // core 1's run of 1.  The fix must invert this test, as
+        // `tests/set_index_aliasing.rs` is to be inverted for its defect.
+        let mut p = RunLengthProfile::new();
+        let line = CacheLine::from_index(1);
+        for core in [0, 1, 0] {
+            p.record_access(line, CoreId::new(core), DataClass::SharedReadOnly, false);
+        }
+        p.finalize();
+        assert_eq!(p.runs(DataClass::SharedReadOnly), 3);
+        assert_eq!(p.mean_run_length(DataClass::SharedReadOnly), Some(1.0));
+    }
+
+    #[test]
     fn run_length_eviction_closes_run() {
         let mut p = RunLengthProfile::new();
         let line = CacheLine::from_index(2);

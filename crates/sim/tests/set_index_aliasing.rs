@@ -12,7 +12,6 @@
 use std::collections::BTreeSet;
 
 use lad_common::config::SystemConfig;
-use lad_common::types::CoreId;
 use lad_replication::config::ReplicationConfig;
 use lad_replication::entry::LlcEntry;
 use lad_sim::engine::Simulator;
@@ -36,19 +35,14 @@ fn interleaved_home_lines_reach_only_one_nth_of_their_slices_sets() {
     let trace = TraceGenerator::new(Benchmark::Barnes.profile()).generate(tiles, 2000, 11);
     let mut sim = Simulator::new(system, ReplicationConfig::static_nuca());
     sim.run(&trace);
-    let consumed: Vec<u64> = (0..tiles)
-        .map(|core| trace.core_stream(CoreId::new(core)).len() as u64)
-        .collect();
-    let checkpoint = sim.capture_checkpoint(&consumed).decode().unwrap();
 
     let mut home_lines = 0;
-    for (slice, tile) in checkpoint.tiles.iter().enumerate() {
+    for (slice, tile) in sim.tiles().iter().enumerate() {
         let home_slots: Vec<usize> = tile
             .llc
-            .slots
-            .iter()
+            .slots()
             .filter(|(.., entry)| matches!(entry, LlcEntry::Home(_)))
-            .map(|(slot, ..)| *slot)
+            .map(|(slot, ..)| slot)
             .collect();
         let home_sets: BTreeSet<usize> = home_slots.iter().map(|slot| slot / ways).collect();
         assert_eq!(

@@ -11,8 +11,8 @@
 //! * [`GeneratorSource`] — materializes a synthetic trace from a
 //!   [`TraceGenerator`] on first use.
 //! * [`ReaderSource`] — streams a LADT file in O(chunk-per-core) memory;
-//!   [`FileSource`] is its `BufReader<File>` alias with a path-based
-//!   constructor.
+//!   [`FileSource`] is its alias over a buffered file, read through a
+//!   fault-injection seam, with path-based constructors.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -361,8 +361,12 @@ impl<R: Read + Seek> TraceSource for ReaderSource<R> {
     }
 }
 
-/// A [`ReaderSource`] over a buffered file.
-pub type FileSource = ReaderSource<BufReader<File>>;
+/// A [`ReaderSource`] over a buffered file, with a fault-injection seam
+/// at [`FaultSite::TraceRead`]: every read of the file consults the
+/// injector, so seeded plans can surface short reads, `EINTR`, dropped
+/// streams and spurious EOF mid-replay.  [`FileSource::open`] disarms the
+/// injector, which then costs one `Option` check per read.
+pub type FileSource = ReaderSource<FaultyRead<BufReader<File>>>;
 
 impl FileSource {
     /// Opens a `.ladt` file for streaming replay.
@@ -371,18 +375,9 @@ impl FileSource {
     ///
     /// File-open and header decode errors.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        ReaderSource::new(BufReader::new(File::open(path)?))
+        Self::open_faulty(path, FaultInjector::disarmed())
     }
-}
 
-/// A [`FileSource`] with a fault-injection seam at
-/// [`FaultSite::TraceRead`]: every read of the underlying file consults the
-/// injector, so seeded plans can surface short reads, `EINTR`, dropped
-/// streams and spurious EOF mid-replay.  With a disarmed injector this is
-/// a [`FileSource`] plus one branch per read.
-pub type FaultyFileSource = ReaderSource<FaultyRead<BufReader<File>>>;
-
-impl FaultyFileSource {
     /// Opens a `.ladt` file for streaming replay with `injector` armed on
     /// the read path.
     ///
@@ -589,7 +584,7 @@ mod tests {
             "trace-read:1:interrupt;trace-read:2:short;trace-read:3:short;trace-read:5:interrupt",
         )
         .unwrap();
-        let mut faulty = FaultyFileSource::open_faulty(&path, FaultInjector::armed(plan)).unwrap();
+        let mut faulty = FileSource::open_faulty(&path, FaultInjector::armed(plan)).unwrap();
         let mut clean = FileSource::open(&path).unwrap();
         for core in 0..4 {
             assert_eq!(drain(&mut faulty, core), drain(&mut clean, core));
@@ -599,7 +594,7 @@ mod tests {
         // whether it fires during the header decode at open or mid-stream.
         let plan = FaultPlan::parse("trace-read:20:drop").unwrap();
         let mut saw_error = false;
-        match FaultyFileSource::open_faulty(&path, FaultInjector::armed(plan)) {
+        match FileSource::open_faulty(&path, FaultInjector::armed(plan)) {
             Err(TraceError::Io(_)) => saw_error = true,
             Err(other) => panic!("unexpected error class at open: {other:?}"),
             Ok(mut dropped) => {
@@ -620,12 +615,6 @@ mod tests {
         }
         assert!(saw_error, "the injected drop must surface");
 
-        // Disarmed, the faulty alias behaves exactly like FileSource.
-        let mut disarmed = FaultyFileSource::open_faulty(&path, FaultInjector::disarmed()).unwrap();
-        let mut clean = FileSource::open(&path).unwrap();
-        for core in 0..4 {
-            assert_eq!(drain(&mut disarmed, core), drain(&mut clean, core));
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -212,15 +212,17 @@ fn missing_schemes_surface_as_typed_errors_not_silent_defaults() {
 
 /// An out-of-crate policy: replicate every line at the requester's slice on
 /// every home fill, never consulting any classifier — the kind of scheme the
-/// registry exists for.
-#[derive(Debug)]
-struct AlwaysReplicate;
+/// registry exists for.  It notes each thread that builds its simulators.
+#[derive(Debug, Default)]
+struct AlwaysReplicate(std::sync::Mutex<std::collections::BTreeSet<String>>);
 
 impl ReplicationPolicy for AlwaysReplicate {
     fn id(&self) -> SchemeId {
         SchemeId::Custom("ALWAYS")
     }
     fn placement(&self) -> PlacementPolicy {
+        let thread = format!("{:?}", std::thread::current().id());
+        self.0.lock().unwrap().insert(thread);
         PlacementPolicy::AddressInterleaved
     }
     fn replicates(&self) -> bool {
@@ -238,10 +240,8 @@ impl ReplicationPolicy for AlwaysReplicate {
 fn custom_policy_registered_in_the_registry_runs_through_run_matrix() {
     let suite = BenchmarkSuite::custom(vec![Benchmark::Barnes], 600, 5);
     let mut runner = ExperimentRunner::new(SystemConfig::small_test(), suite).with_threads(2);
-    runner.register_scheme(
-        std::sync::Arc::new(AlwaysReplicate),
-        ReplicationConfig::static_nuca(),
-    );
+    let policy = std::sync::Arc::new(AlwaysReplicate::default());
+    runner.register_scheme(policy.clone(), ReplicationConfig::static_nuca());
 
     let results = runner
         .run_matrix(&[SchemeId::StaticNuca, SchemeId::Custom("ALWAYS")])
@@ -269,6 +269,12 @@ fn custom_policy_registered_in_the_registry_runs_through_run_matrix() {
         )
         .unwrap();
     assert!(normalized.is_finite() && normalized > 0.0);
+
+    // Later matrices run on the same two workers, not on new threads.
+    for _ in 0..2 {
+        runner.run_matrix(&[SchemeId::Custom("ALWAYS")]).unwrap();
+    }
+    assert!(policy.0.lock().unwrap().len() <= 2);
 }
 
 #[test]

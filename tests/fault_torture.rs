@@ -376,9 +376,7 @@ fn torn_checkpoint_at_every_kill_point_recovers_byte_identically() {
             "format",
             JsonValue::from(1u64),
         );
-        durable::seal(with_field(body, "checkpoint", checkpoint))
-            .pretty()
-            .into_bytes()
+        durable::seal(&with_field(body, "checkpoint", checkpoint)).into_bytes()
     };
     mutations.push(Some(stale_format.clone()));
     mutations.push(None);
