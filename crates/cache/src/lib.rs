@@ -1,10 +1,25 @@
-//! Set-associative cache arrays, replacement policies and the L1 / LLC-slice
-//! models used by the locality-aware replication reproduction.
+//! The set-associative cache array, its replacement policies and the LLC
+//! slice used by the locality-aware replication reproduction.
 //!
-//! The arrays are *structural*: they manage tags, placement, LRU ordering and
+//! Two types model the tile's two cache levels:
+//!
+//! * [`SetAssocCache`] is the one cache array.  The private L1-I and L1-D
+//!   are bare `SetAssocCache`s filled under [`PlainLru`].
+//! * [`LlcSlice`] wraps an array for the LLC: it boxes its large entries
+//!   and switches between the two replacement policies (Section 4.2).
+//!
+//! Both are *structural*: they manage tags, placement, LRU ordering and
 //! victim selection, while the coherence state and directory/classifier
 //! metadata stored in each entry are supplied by the higher-level crates
 //! (`lad-coherence`, `lad-replication`) as the generic entry type `V`.
+//!
+//! Both have one checkpoint surface: `slots` and `clock` read the occupied
+//! slots and the LRU clock in place, and `restore_slot` for each slot, then
+//! `set_clock`, write them back into a cleared cache of the same geometry.
+//! `restore_slot` checks each slot against the geometry and returns an
+//! error instead of panicking, because checkpoints come from outside the
+//! process.  The byte encoding lives with the simulator's checkpoint
+//! module.
 //!
 //! The two victim-selection policies of the paper are provided:
 //!
@@ -31,13 +46,10 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod l1;
 pub mod llc_slice;
 pub mod replacement;
 pub mod set_assoc;
-pub mod snapshot;
 
-pub use l1::L1Cache;
 pub use llc_slice::{LlcReplacementPolicy, LlcSlice};
 pub use replacement::{EvictionPriority, PlainLru, SharerAwareLru, SharerCount};
 pub use set_assoc::SetAssocCache;

@@ -19,12 +19,13 @@
 //! 8-byte null, and only resident entries own an allocation.  Building a
 //! slice allocates those 24 bytes per way once; [`LlcSlice::clear`] writes
 //! only the resident ways and frees their entries.  The box never leaves this
-//! module and the snapshot code: every method takes and returns `V`/`&V`.
+//! module: every method, the checkpoint ones included, takes and returns
+//! `V`/`&V`.
 
 use lad_common::config::CacheConfig;
 use lad_common::types::CacheLine;
 
-use crate::replacement::{Boxed, EvictionPriority, PlainLru, SharerAwareLru, SharerCount};
+use crate::replacement::{PlainLru, SharerAwareLru, SharerCount};
 use crate::set_assoc::SetAssocCache;
 
 /// Which victim-selection policy an LLC slice uses.
@@ -46,43 +47,27 @@ pub enum LlcReplacementPolicy {
 pub struct LlcSlice<V> {
     array: SetAssocCache<Box<V>>,
     policy: LlcReplacementPolicy,
-    tag_latency: u32,
-    data_latency: u32,
+    access_latency: u32,
 }
 
 impl<V: SharerCount> LlcSlice<V> {
-    /// Builds a slice from its configuration and line size, using the
-    /// paper's sharer-aware replacement policy.
+    /// Builds a slice from its configuration, line size and replacement
+    /// policy.
     ///
     /// # Panics
     ///
     /// Panics if the geometry does not form whole power-of-two sets.
-    pub fn new(config: &CacheConfig, line_bytes: usize) -> Self {
-        Self::with_policy(config, line_bytes, LlcReplacementPolicy::SharerAwareLru)
-    }
-
-    /// Builds a slice with an explicit replacement policy.
-    pub fn with_policy(
-        config: &CacheConfig,
-        line_bytes: usize,
-        policy: LlcReplacementPolicy,
-    ) -> Self {
+    pub fn new(config: &CacheConfig, line_bytes: usize, policy: LlcReplacementPolicy) -> Self {
         LlcSlice {
             array: SetAssocCache::new(config.num_sets(line_bytes), config.associativity),
             policy,
-            tag_latency: config.tag_latency,
-            data_latency: config.data_latency,
+            access_latency: config.access_latency(),
         }
-    }
-
-    /// Latency of a tag-array lookup (e.g. a directory probe), in cycles.
-    pub fn tag_latency(&self) -> u32 {
-        self.tag_latency
     }
 
     /// Latency of a full tag + data access, in cycles.
     pub fn access_latency(&self) -> u32 {
-        self.tag_latency + self.data_latency
+        self.access_latency
     }
 
     /// The active replacement policy.
@@ -107,18 +92,15 @@ impl<V: SharerCount> LlcSlice<V> {
         self.array.peek_mut(line).map(|entry| &mut **entry)
     }
 
-    /// Returns `true` if `line` is resident in this slice.
-    pub fn contains(&self, line: CacheLine) -> bool {
-        self.array.contains(line)
-    }
-
     /// Inserts `line`, evicting a victim according to the active policy.
     /// Returns the evicted `(line, entry)` pair, if any.
     pub fn fill(&mut self, line: CacheLine, entry: V) -> Option<(CacheLine, V)> {
-        match self.policy {
-            LlcReplacementPolicy::SharerAwareLru => self.fill_with(line, entry, &SharerAwareLru),
-            LlcReplacementPolicy::PlainLru => self.fill_with(line, entry, &PlainLru),
-        }
+        let entry = Box::new(entry);
+        let evicted = match self.policy {
+            LlcReplacementPolicy::SharerAwareLru => self.array.insert(line, entry, &SharerAwareLru),
+            LlcReplacementPolicy::PlainLru => self.array.insert(line, entry, &PlainLru),
+        };
+        evicted.map(|(line, entry)| (line, *entry))
     }
 
     /// Predicts the victim a [`LlcSlice::fill`] of `line` would evict without
@@ -126,10 +108,8 @@ impl<V: SharerCount> LlcSlice<V> {
     /// `line`.
     pub fn victim_for(&self, line: CacheLine) -> Option<(CacheLine, &V)> {
         let victim = match self.policy {
-            LlcReplacementPolicy::SharerAwareLru => {
-                self.array.victim_for(line, &Boxed(&SharerAwareLru))
-            }
-            LlcReplacementPolicy::PlainLru => self.array.victim_for(line, &Boxed(&PlainLru)),
+            LlcReplacementPolicy::SharerAwareLru => self.array.victim_for(line, &SharerAwareLru),
+            LlcReplacementPolicy::PlainLru => self.array.victim_for(line, &PlainLru),
         };
         victim.map(|(line, entry)| (line, &**entry))
     }
@@ -161,40 +141,49 @@ impl<V: SharerCount> LlcSlice<V> {
         self.array.capacity()
     }
 
-    /// Occupancy as a fraction of capacity in `[0, 1]`.
-    pub fn occupancy(&self) -> f64 {
-        self.array.len() as f64 / self.array.capacity() as f64
-    }
-
     /// Iterates over resident `(line, entry)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (CacheLine, &V)> {
         self.array.iter().map(|(line, entry)| (line, &**entry))
     }
 
-    /// Iterates mutably over resident `(line, entry)` pairs.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (CacheLine, &mut V)> {
+    /// The occupied slots as `(slot, tag, lru_stamp, entry)`, in slot
+    /// order — with [`LlcSlice::clock`], everything a checkpoint records of
+    /// the slice, as [`SetAssocCache::slots`] is of an array.  The iterator
+    /// yields exactly [`LlcSlice::len`] items.
+    pub fn slots(&self) -> impl Iterator<Item = (usize, u64, u64, &V)> {
         self.array
-            .iter_mut()
-            .map(|(line, entry)| (line, &mut **entry))
+            .slots()
+            .map(|(slot, tag, stamp, entry)| (slot, tag, stamp, &**entry))
     }
 
-    /// Inserts with an arbitrary policy (used by unit tests and the
-    /// replacement-policy ablation study).
-    pub fn fill_with<P>(&mut self, line: CacheLine, entry: V, policy: &P) -> Option<(CacheLine, V)>
-    where
-        P: EvictionPriority<V> + ?Sized,
-    {
-        self.array
-            .insert(line, Box::new(entry), &Boxed(policy))
-            .map(|(line, entry)| (line, *entry))
+    /// The slice's global LRU clock.
+    pub fn clock(&self) -> u64 {
+        self.array.clock()
     }
 
-    pub(crate) fn array(&self) -> &SetAssocCache<Box<V>> {
-        &self.array
+    /// Re-occupies one slot of a checkpointed slice with the same geometry,
+    /// as [`SetAssocCache::restore_slot`] does for an array.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`SetAssocCache::restore_slot`]; the slice is unchanged.
+    pub fn restore_slot(
+        &mut self,
+        slot: usize,
+        tag: u64,
+        stamp: u64,
+        entry: V,
+    ) -> Result<(), String> {
+        self.array.restore_slot(slot, tag, stamp, Box::new(entry))
     }
 
-    pub(crate) fn array_mut(&mut self) -> &mut SetAssocCache<Box<V>> {
-        &mut self.array
+    /// Restores the global LRU clock after the last slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clock` is older than a resident stamp.
+    pub fn set_clock(&mut self, clock: u64) {
+        self.array.set_clock(clock);
     }
 }
 
@@ -232,10 +221,13 @@ mod tests {
         Entry { sharers, tag }
     }
 
+    fn new_slice(policy: LlcReplacementPolicy) -> LlcSlice<Entry> {
+        LlcSlice::new(&config(), 64, policy)
+    }
+
     #[test]
     fn latencies_match_config() {
-        let slice: LlcSlice<Entry> = LlcSlice::new(&config(), 64);
-        assert_eq!(slice.tag_latency(), 2);
+        let slice = new_slice(LlcReplacementPolicy::default());
         assert_eq!(slice.access_latency(), 6);
         assert_eq!(slice.capacity(), 16);
         assert_eq!(
@@ -246,7 +238,7 @@ mod tests {
 
     #[test]
     fn access_and_probe_accounting() {
-        let mut slice = LlcSlice::new(&config(), 64);
+        let mut slice = new_slice(LlcReplacementPolicy::default());
         assert!(slice.access(line(0)).is_none());
         slice.fill(line(0), entry(0, 1));
         assert!(slice.access(line(0)).is_some());
@@ -257,7 +249,7 @@ mod tests {
 
     #[test]
     fn sharer_aware_default_prefers_keeping_shared_lines() {
-        let mut slice = LlcSlice::new(&config(), 64);
+        let mut slice = new_slice(LlcReplacementPolicy::default());
         // All map to set 0: lines 0, 4, 8, 12, 16 with 4 sets.
         slice.fill(line(0), entry(2, 0));
         slice.fill(line(4), entry(0, 4));
@@ -271,7 +263,7 @@ mod tests {
 
     #[test]
     fn plain_lru_policy_evicts_by_recency_only() {
-        let mut slice = LlcSlice::with_policy(&config(), 64, LlcReplacementPolicy::PlainLru);
+        let mut slice = new_slice(LlcReplacementPolicy::PlainLru);
         slice.fill(line(0), entry(2, 0));
         slice.fill(line(4), entry(0, 4));
         slice.fill(line(8), entry(3, 8));
@@ -280,7 +272,7 @@ mod tests {
         let (victim, _) = slice.fill(line(16), entry(0, 16)).expect("eviction");
         assert_eq!(victim, line(4));
         // but if we touch 4 and not 0, plain LRU evicts 0 even though it has sharers
-        let mut slice = LlcSlice::with_policy(&config(), 64, LlcReplacementPolicy::PlainLru);
+        let mut slice = new_slice(LlcReplacementPolicy::PlainLru);
         slice.fill(line(0), entry(2, 0));
         slice.fill(line(4), entry(0, 4));
         slice.fill(line(8), entry(3, 8));
@@ -294,7 +286,7 @@ mod tests {
 
     #[test]
     fn victim_prediction_matches_fill() {
-        let mut slice = LlcSlice::new(&config(), 64);
+        let mut slice = new_slice(LlcReplacementPolicy::default());
         for i in [0u64, 4, 8, 12] {
             slice.fill(line(i), entry((i % 3) as usize, i as u32));
         }
@@ -306,19 +298,51 @@ mod tests {
 
     #[test]
     fn invalidate_and_occupancy() {
-        let mut slice = LlcSlice::new(&config(), 64);
+        let mut slice = new_slice(LlcReplacementPolicy::default());
         slice.fill(line(1), entry(0, 1));
         slice.fill(line(2), entry(0, 2));
         assert_eq!(slice.len(), 2);
-        assert!((slice.occupancy() - 2.0 / 16.0).abs() < 1e-12);
         assert_eq!(slice.invalidate(line(1)), Some(entry(0, 1)));
         assert_eq!(slice.invalidate(line(1)), None);
         assert_eq!(slice.len(), 1);
         assert!(!slice.is_empty());
         assert_eq!(slice.iter().count(), 1);
-        for (_, e) in slice.iter_mut() {
-            e.sharers += 1;
+    }
+
+    /// What a checkpoint records of a slice: its LRU clock and occupied
+    /// slots, copied out.
+    fn state(slice: &LlcSlice<Entry>) -> (u64, Vec<(usize, u64, u64, Entry)>) {
+        let slots = slice
+            .slots()
+            .map(|(slot, tag, stamp, entry)| (slot, tag, stamp, entry.clone()))
+            .collect();
+        (slice.clock(), slots)
+    }
+
+    #[test]
+    fn llc_state_roundtrip_preserves_sharer_aware_choice() {
+        let mut original = new_slice(LlcReplacementPolicy::SharerAwareLru);
+        // Set 0 holds lines 0, 4, 8 and 12.
+        for (i, sharers) in [(0, 2), (4, 0), (8, 3), (12, 1)] {
+            original.fill(line(i), entry(sharers, i as u32));
         }
-        assert_eq!(slice.probe(line(2)).unwrap().sharers, 1);
+        original.access(line(4)); // MRU but sharer-free
+
+        let (clock, slots) = state(&original);
+        assert_eq!(slots.len(), original.len());
+        let mut restored = new_slice(LlcReplacementPolicy::SharerAwareLru);
+        // Line 5 belongs in set 1, so slot 1 is refused and nothing lands.
+        assert!(restored.restore_slot(1, 5, 1, entry(0, 5)).is_err());
+        assert!(restored.is_empty());
+        for (slot, tag, stamp, entry) in slots {
+            restored.restore_slot(slot, tag, stamp, entry).unwrap();
+        }
+        restored.set_clock(clock);
+
+        let expect = original.fill(line(16), entry(1, 16));
+        let got = restored.fill(line(16), entry(1, 16));
+        assert_eq!(expect, got);
+        assert_eq!(got.map(|(victim, _)| victim), Some(line(4)));
+        assert_eq!(state(&restored), state(&original));
     }
 }

@@ -50,24 +50,11 @@ impl<V: SharerCount + ?Sized> EvictionPriority<V> for SharerAwareLru {
     }
 }
 
-/// Applies a policy over `V` to entries stored as `Box<V>` (the LLC slice's
-/// array), so a boxed array evicts exactly as an unboxed one would.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Boxed<'a, P: ?Sized>(pub(crate) &'a P);
-
-impl<V, P: EvictionPriority<V> + ?Sized> EvictionPriority<Box<V>> for Boxed<'_, P> {
-    fn priority(&self, entry: &Box<V>) -> u64 {
-        self.0.priority(entry)
-    }
-}
-
-/// A priority function supplied as a closure, for tests and ad-hoc policies.
-#[derive(Debug, Clone, Copy)]
-pub struct PriorityFn<F>(pub F);
-
-impl<V: ?Sized, F: Fn(&V) -> u64> EvictionPriority<V> for PriorityFn<F> {
-    fn priority(&self, entry: &V) -> u64 {
-        (self.0)(entry)
+/// A boxed entry has its entry's sharer count, so an array of boxed
+/// entries (the LLC slice's) evicts exactly as an unboxed one would.
+impl<V: SharerCount + ?Sized> SharerCount for Box<V> {
+    fn l1_sharer_count(&self) -> usize {
+        (**self).l1_sharer_count()
     }
 }
 
@@ -104,11 +91,5 @@ mod tests {
         assert_eq!(p.priority(&Entry { sharers: 0 }), 0);
         assert_eq!(p.priority(&Entry { sharers: 3 }), 3);
         assert!(p.priority(&Entry { sharers: 1 }) < p.priority(&Entry { sharers: 2 }));
-    }
-
-    #[test]
-    fn priority_fn_adapter() {
-        let p = PriorityFn(|e: &Entry| 10 - e.sharers as u64);
-        assert_eq!(p.priority(&Entry { sharers: 4 }), 6);
     }
 }

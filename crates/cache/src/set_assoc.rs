@@ -297,18 +297,6 @@ impl<V> SetAssocCache<V> {
             })
     }
 
-    /// Iterates mutably over all resident `(line, entry)` pairs.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (CacheLine, &mut V)> {
-        self.tags
-            .iter()
-            .zip(&self.stamps)
-            .zip(&mut self.values)
-            .filter(|((_, stamp), _)| **stamp != 0)
-            .filter_map(|((tag, _), value)| {
-                value.as_mut().map(|v| (CacheLine::from_index(*tag), v))
-            })
-    }
-
     /// Occupancy of the set that `line` maps to, as `(resident, ways)`.
     pub fn set_occupancy(&self, line: CacheLine) -> (usize, usize) {
         let base = self.set_base(line);
@@ -340,32 +328,46 @@ impl<V> SetAssocCache<V> {
         self.clock
     }
 
-    /// `true` if `slot` exists and lies in the set that line `tag` maps to —
-    /// the geometry a checkpointed `(slot, tag)` pair must fit before
-    /// [`SetAssocCache::restore_slot`] accepts it.
-    pub fn slot_fits(&self, slot: usize, tag: u64) -> bool {
-        slot < self.stamps.len()
-            && self.set_base(CacheLine::from_index(tag)) == slot - slot % self.associativity
-    }
-
     /// Re-occupies `slot` with a checkpointed `(tag, stamp, value)` tuple.
+    /// Restoring every tuple of [`SetAssocCache::slots`] into a cleared
+    /// array of the same geometry, then [`SetAssocCache::set_clock`],
+    /// reproduces every future lookup, LRU promotion and victim choice of
+    /// the checkpointed array.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `slot` is out of range, outside the set `tag` maps to, or
-    /// already occupied, or if `stamp` is `0` (the vacancy marker) — a
-    /// checkpoint only records live slots.
-    pub fn restore_slot(&mut self, slot: usize, tag: u64, stamp: u64, value: V) {
-        assert!(
-            self.slot_fits(slot, tag),
-            "slot {slot} out of range or outside the set of tag {tag:#x}"
-        );
-        assert!(self.stamps[slot] == 0, "slot {slot} is already occupied");
-        assert!(stamp != 0, "stamp 0 marks a vacant slot");
+    /// A slot out of range or outside the set `tag` maps to, a tag already
+    /// resident, an occupied slot, or a zero `stamp` (the vacancy marker: a
+    /// checkpoint only records live slots).  The array is unchanged.
+    pub fn restore_slot(
+        &mut self,
+        slot: usize,
+        tag: u64,
+        stamp: u64,
+        value: V,
+    ) -> Result<(), String> {
+        let line = CacheLine::from_index(tag);
+        if slot >= self.stamps.len() || self.set_base(line) != slot - slot % self.associativity {
+            return Err(format!(
+                "slot {slot} of tag {tag:#x} does not fit {} sets of {} ways",
+                self.num_sets(),
+                self.associativity
+            ));
+        }
+        if self.contains(line) {
+            return Err(format!("tag {tag:#x} is resident twice"));
+        }
+        if self.stamps[slot] != 0 {
+            return Err(format!("slot {slot} is already occupied"));
+        }
+        if stamp == 0 {
+            return Err("stamp 0 marks a vacant slot".to_string());
+        }
         self.tags[slot] = tag;
         self.stamps[slot] = stamp;
         self.values[slot] = Some(value);
         self.len += 1;
+        Ok(())
     }
 
     /// Restores the global LRU clock.
@@ -607,10 +609,6 @@ mod tests {
         let mut resident: Vec<_> = c.iter().map(|(l, v)| (l.index(), *v)).collect();
         resident.sort_unstable();
         assert_eq!(resident, (0..6).map(|i| (i, i)).collect::<Vec<_>>());
-        for (_, v) in c.iter_mut() {
-            *v += 100;
-        }
-        assert_eq!(c.peek(line(3)), Some(&103));
     }
 
     #[test]
@@ -627,7 +625,7 @@ mod tests {
             .map(|(slot, tag, stamp, v)| (slot, tag, stamp, *v))
             .collect();
         for (slot, tag, stamp, v) in slots {
-            restored.restore_slot(slot, tag, stamp, v);
+            restored.restore_slot(slot, tag, stamp, v).unwrap();
         }
         restored.set_clock(c.clock());
 
@@ -642,18 +640,36 @@ mod tests {
     }
 
     #[test]
+    fn restore_slot_rejects_slots_outside_the_geometry_and_twice_resident_tags() {
+        // 4 sets of 2 ways: lines 5 and 9 belong in set 1, slots 2 and 3.
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(4, 2);
+        let err = c.restore_slot(8, 5, 1, 0).unwrap_err();
+        assert!(err.contains("does not fit 4 sets of 2 ways"), "{err}");
+        assert!(c.restore_slot(0, 5, 1, 0).is_err(), "set 0 is not line 5's");
+        c.restore_slot(2, 5, 1, 0).unwrap();
+        let err = c.restore_slot(3, 5, 2, 0).unwrap_err();
+        assert!(err.contains("resident twice"), "{err}");
+        let err = c.restore_slot(2, 9, 2, 0).unwrap_err();
+        assert!(err.contains("already occupied"), "{err}");
+        let err = c.restore_slot(3, 9, 0, 0).unwrap_err();
+        assert!(err.contains("stamp 0"), "{err}");
+        // Every rejection left the array as the one good restore made it.
+        assert_eq!(c.slots().collect::<Vec<_>>(), [(2, 5, 1, &0)]);
+    }
+
+    #[test]
     #[should_panic(expected = "already occupied")]
     fn restore_slot_rejects_double_occupancy() {
         let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 2);
-        c.restore_slot(0, 4, 1, 7);
-        c.restore_slot(0, 6, 2, 8);
+        c.restore_slot(0, 4, 1, 7).unwrap();
+        c.restore_slot(0, 6, 2, 8).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "older than resident stamp")]
     fn set_clock_rejects_stale_clocks() {
         let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 2);
-        c.restore_slot(0, 4, 5, 7);
+        c.restore_slot(0, 4, 5, 7).unwrap();
         c.set_clock(3);
     }
 

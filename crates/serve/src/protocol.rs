@@ -222,7 +222,8 @@ pub enum TraceSpec {
     Builtin {
         /// Benchmark label (e.g. `"BARNES"`).
         benchmark: String,
-        /// Number of cores the trace spans.
+        /// Number of cores the trace spans (1 to 65 535, as in a LADT
+        /// header).
         cores: usize,
         /// Accesses generated per core (approximately; the generator
         /// rounds per its profile).
@@ -266,7 +267,8 @@ impl TraceSpec {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] naming the missing or ill-typed field.
+    /// [`ServeError::BadRequest`] naming the missing, ill-typed or
+    /// out-of-range field.
     pub fn from_json(value: &JsonValue) -> Result<TraceSpec, ServeError> {
         let kind = value
             .get("kind")
@@ -307,6 +309,15 @@ impl TraceSpec {
                 let seed = value.get("seed").and_then(JsonValue::as_u64).unwrap_or(0);
                 if cores == 0 || accesses == 0 {
                     return Err(bad("builtin trace spec needs non-zero cores and accesses"));
+                }
+                // The bound a LADT header enforces: core ids are 16-bit, and
+                // a larger count would size the mesh and build its tiles
+                // before the trace generator refused it.
+                if cores > u64::from(u16::MAX) {
+                    return Err(bad(&format!(
+                        "builtin trace spec has {cores} cores; at most {} are supported",
+                        u16::MAX
+                    )));
                 }
                 Ok(TraceSpec::Builtin {
                     benchmark: benchmark.to_string(),

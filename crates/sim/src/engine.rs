@@ -10,6 +10,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use lad_cache::replacement::PlainLru;
 use lad_check::{check_view, require, violated, HomeSummary, Invariant, ProtocolView, Violation};
 use lad_coherence::ackwise::InvalidationTargets;
 use lad_coherence::mesi::MesiState;
@@ -899,15 +900,12 @@ impl Simulator {
         let is_write = access.op.is_write();
 
         // Compute phase before the access, plus the 1-cycle L1 access.
-        let (l1_latency, clock) = {
-            let tile = &self.tiles[core.index()];
-            let latency = if is_instruction {
-                tile.l1i.access_latency()
-            } else {
-                tile.l1d.access_latency()
-            };
-            (latency, tile.clock)
+        let l1_latency = if is_instruction {
+            self.system.l1i.access_latency()
+        } else {
+            self.system.l1d.access_latency()
         };
+        let clock = self.tiles[core.index()].clock;
         let mut now = clock + access.compute_cycles as u64 + l1_latency as u64;
         self.latency.compute += access.compute_cycles as u64 + l1_latency as u64;
         self.record_l1_energy(is_instruction, is_write);
@@ -917,7 +915,7 @@ impl Simulator {
         let mut served_by_l1 = false;
         {
             let tile = &mut self.tiles[core.index()];
-            if let Some(state) = tile.l1_for(is_instruction).access(line) {
+            if let Some(state) = tile.l1_for(is_instruction).get_mut(line) {
                 if !is_write {
                     served_by_l1 = true;
                 } else if state.can_write_locally() {
@@ -1340,29 +1338,12 @@ impl Simulator {
             self.energy
                 .record(Component::L2Cache, self.energy_model.llc_tag_pj);
 
-            let tile = &mut self.tiles[target.index()];
-            let l1d_state = tile.l1d.invalidate(line);
-            let l1i_state = tile.l1i.invalidate(line);
-            let mut dirty = matches!(l1d_state, Some(MesiState::Modified));
-            let mut had_copy = l1d_state.is_some() || l1i_state.is_some();
-            let mut replica_reuse = None;
-            let is_replica = tile
-                .llc
-                .probe(line)
-                .map(|e| e.is_replica())
-                .unwrap_or(false);
-            if is_replica {
-                if let Some(LlcEntry::Replica(rep)) = tile.llc.invalidate(line) {
-                    replica_reuse = Some(rep.reuse.value());
-                    dirty |= rep.dirty;
-                    had_copy = true;
-                }
-            }
+            let (l1d, l1i, replica) = self.tiles[target.index()].drop_copies(line);
             probes.push(SharerProbe {
                 target,
-                replica_reuse,
-                had_copy,
-                dirty,
+                replica_reuse: replica.map(|rep| rep.reuse.value()),
+                had_copy: l1d.is_some() || l1i.is_some() || replica.is_some(),
+                dirty: l1d == Some(MesiState::Modified) || replica.is_some_and(|rep| rep.dirty),
             });
         }
 
@@ -1404,14 +1385,14 @@ impl Simulator {
 
         let tile = &mut self.tiles[owner.index()];
         let mut dirty = false;
-        if let Some(state) = tile.l1d.probe_mut(line) {
+        if let Some(state) = tile.l1d.peek_mut(line) {
             dirty |= state.is_dirty();
             *state = state.after_downgrade();
         }
         // The exclusive grant may live in the L1-I (a line whose first
         // access was an instruction fetch): downgrade it there as well, or
         // the owner keeps a writable copy alongside the new sharer.
-        if let Some(state) = tile.l1i.probe_mut(line) {
+        if let Some(state) = tile.l1i.peek_mut(line) {
             dirty |= state.is_dirty();
             *state = state.after_downgrade();
         }
@@ -1469,7 +1450,7 @@ impl Simulator {
         self.record_l1_energy(instruction, true);
         let victim = self.tiles[core.index()]
             .l1_for(instruction)
-            .fill(line, state);
+            .insert(line, state, &PlainLru);
         if let Some((victim_line, victim_state)) = victim {
             self.handle_l1_victim(core, victim_line, victim_state, now);
         }
@@ -1568,13 +1549,11 @@ impl Simulator {
             LlcEntry::Replica(rep) => {
                 // Back-invalidate the local L1 copies (the LLC slice is
                 // inclusive of the local L1 for replicas).
-                let tile = &mut self.tiles[slice_core.index()];
-                let l1d = tile.l1d.invalidate(line);
-                let l1i = tile.l1i.invalidate(line);
+                let (l1d, l1i, _) = self.tiles[slice_core.index()].drop_copies(line);
                 if l1d.is_some() || l1i.is_some() {
                     self.back_invalidations += 1;
                 }
-                let dirty = rep.dirty || matches!(l1d, Some(MesiState::Modified));
+                let dirty = rep.dirty || l1d == Some(MesiState::Modified);
                 let home = self.home_map.home_for(line, slice_core);
                 self.notify_home_of_eviction(
                     slice_core,
@@ -1598,18 +1577,8 @@ impl Simulator {
                     .directory
                     .back_invalidation_targets(self.system.num_cores);
                 for target in targets {
-                    let tile = &mut self.tiles[target.index()];
-                    let had_l1 =
-                        tile.l1d.invalidate(line).is_some() | tile.l1i.invalidate(line).is_some();
-                    let had_replica = tile
-                        .llc
-                        .probe(line)
-                        .map(|e| e.is_replica())
-                        .unwrap_or(false);
-                    if had_replica {
-                        tile.llc.invalidate(line);
-                    }
-                    if had_l1 || had_replica {
+                    let (l1d, l1i, replica) = self.tiles[target.index()].drop_copies(line);
+                    if l1d.is_some() || l1i.is_some() || replica.is_some() {
                         self.back_invalidations += 1;
                         if target != slice_core {
                             self.network
@@ -1720,9 +1689,9 @@ impl ProtocolView for EngineView<'_> {
     fn l1_states(&self, core: CoreId, line: CacheLine) -> Vec<MesiState> {
         let tile = &self.sim.tiles[core.index()];
         tile.l1i
-            .probe(line)
+            .peek(line)
             .into_iter()
-            .chain(tile.l1d.probe(line))
+            .chain(tile.l1d.peek(line))
             .copied()
             .collect()
     }

@@ -310,7 +310,7 @@ fn malformed_frames_get_typed_errors_and_never_kill_the_server() {
     let server = Server::spawn(config(&dir)).unwrap();
     let stream = TcpStream::connect(server.addr()).unwrap();
 
-    let cases: [(&str, u64, &str); 11] = [
+    let cases: [(&str, u64, &str); 12] = [
         ("this is not json", 400, "malformed_frame"),
         ("{\"no\": \"verb\"}", 400, "malformed_frame"),
         ("{\"verb\": \"zap\"}", 400, "unknown_verb"),
@@ -333,6 +333,15 @@ fn malformed_frames_get_typed_errors_and_never_kill_the_server() {
         (
             "{\"verb\": \"submit\", \"job\": {\"trace\": {\"kind\": \"stored\", \
              \"digest\": \"zz\"}, \"schemes\": [\"RT-3\"]}}",
+            400,
+            "bad_request",
+        ),
+        // More cores than a core id can name: refused before any mesh is
+        // sized or tile built.
+        (
+            "{\"verb\": \"submit\", \"job\": {\"trace\": {\"kind\": \"builtin\", \
+             \"benchmark\": \"BARNES\", \"cores\": 1000000000000, \
+             \"accesses_per_core\": 10}, \"schemes\": [\"RT-3\"]}}",
             400,
             "bad_request",
         ),
