@@ -21,6 +21,17 @@
 //! only the resident ways and frees their entries.  The box never leaves this
 //! module: every method, the checkpoint ones included, takes and returns
 //! `V`/`&V`.
+//!
+//! # Replica count
+//!
+//! The slice counts its resident replicas ([`SharerCount::is_replica`]), so
+//! an invalidation round can skip the tag scan of a slice that holds none.
+//! An entry enters or leaves a slice only through [`LlcSlice::fill`] (the
+//! new entry, the evicted victim and an entry replaced in place),
+//! [`LlcSlice::invalidate`], [`LlcSlice::clear`] and
+//! [`LlcSlice::restore_slot`], and each keeps the count; an entry reached
+//! through [`LlcSlice::access`] or [`LlcSlice::probe_mut`] may change, but
+//! not from home to replica or back.
 
 use lad_common::config::CacheConfig;
 use lad_common::types::CacheLine;
@@ -48,6 +59,8 @@ pub struct LlcSlice<V> {
     array: SetAssocCache<Box<V>>,
     policy: LlcReplacementPolicy,
     access_latency: u32,
+    /// Resident entries whose [`SharerCount::is_replica`] is `true`.
+    replicas: usize,
 }
 
 impl<V: SharerCount> LlcSlice<V> {
@@ -62,6 +75,7 @@ impl<V: SharerCount> LlcSlice<V> {
             array: SetAssocCache::new(config.num_sets(line_bytes), config.associativity),
             policy,
             access_latency: config.access_latency(),
+            replicas: 0,
         }
     }
 
@@ -95,11 +109,20 @@ impl<V: SharerCount> LlcSlice<V> {
     /// Inserts `line`, evicting a victim according to the active policy.
     /// Returns the evicted `(line, entry)` pair, if any.
     pub fn fill(&mut self, line: CacheLine, entry: V) -> Option<(CacheLine, V)> {
+        // A fill over a resident `line` drops its old entry unseen, so read
+        // its kind first; without replicas it cannot be one.
+        let replaced =
+            self.replicas > 0 && self.array.peek(line).is_some_and(|old| old.is_replica());
+        let added = entry.is_replica();
         let entry = Box::new(entry);
         let evicted = match self.policy {
             LlcReplacementPolicy::SharerAwareLru => self.array.insert(line, entry, &SharerAwareLru),
             LlcReplacementPolicy::PlainLru => self.array.insert(line, entry, &PlainLru),
         };
+        let evicted_replica = evicted.as_ref().is_some_and(|(_, old)| old.is_replica());
+        self.replicas = self.replicas + usize::from(added)
+            - usize::from(replaced)
+            - usize::from(evicted_replica);
         evicted.map(|(line, entry)| (line, *entry))
     }
 
@@ -117,13 +140,21 @@ impl<V: SharerCount> LlcSlice<V> {
     /// Removes `line` (invalidation or replacement elsewhere), returning its
     /// entry if it was resident.
     pub fn invalidate(&mut self, line: CacheLine) -> Option<V> {
-        self.array.remove(line).map(|entry| *entry)
+        let entry = self.array.remove(line)?;
+        self.replicas -= usize::from(entry.is_replica());
+        Some(*entry)
     }
 
     /// Empties the slice, leaving it indistinguishable from a newly built
     /// one.  Only resident ways are written.
     pub fn clear(&mut self) {
         self.array.clear();
+        self.replicas = 0;
+    }
+
+    /// Number of resident replica entries.
+    pub fn replicas(&self) -> usize {
+        self.replicas
     }
 
     /// Number of resident lines.
@@ -174,7 +205,10 @@ impl<V: SharerCount> LlcSlice<V> {
         stamp: u64,
         entry: V,
     ) -> Result<(), String> {
-        self.array.restore_slot(slot, tag, stamp, Box::new(entry))
+        let replica = entry.is_replica();
+        self.array.restore_slot(slot, tag, stamp, Box::new(entry))?;
+        self.replicas += usize::from(replica);
+        Ok(())
     }
 
     /// Restores the global LRU clock after the last slot.
@@ -195,11 +229,16 @@ mod tests {
     struct Entry {
         sharers: usize,
         tag: u32,
+        replica: bool,
     }
 
     impl SharerCount for Entry {
         fn l1_sharer_count(&self) -> usize {
             self.sharers
+        }
+
+        fn is_replica(&self) -> bool {
+            self.replica
         }
     }
 
@@ -218,7 +257,18 @@ mod tests {
     }
 
     fn entry(sharers: usize, tag: u32) -> Entry {
-        Entry { sharers, tag }
+        Entry {
+            sharers,
+            tag,
+            replica: false,
+        }
+    }
+
+    fn replica(sharers: usize, tag: u32) -> Entry {
+        Entry {
+            replica: true,
+            ..entry(sharers, tag)
+        }
     }
 
     fn new_slice(policy: LlcReplacementPolicy) -> LlcSlice<Entry> {
@@ -307,6 +357,39 @@ mod tests {
         assert_eq!(slice.len(), 1);
         assert!(!slice.is_empty());
         assert_eq!(slice.iter().count(), 1);
+    }
+
+    #[test]
+    fn replica_count_follows_every_way_in_and_out() {
+        let mut slice = new_slice(LlcReplacementPolicy::PlainLru);
+        // Set 0 holds lines 0, 4, 8 and 12.
+        slice.fill(line(0), replica(0, 0));
+        slice.fill(line(4), entry(0, 4));
+        slice.fill(line(8), replica(0, 8));
+        slice.fill(line(12), entry(0, 12));
+        assert_eq!(slice.replicas(), 2);
+        // The LRU victim, line 0, is a replica.
+        assert_eq!(
+            slice.fill(line(16), entry(0, 16)).map(|(l, _)| l),
+            Some(line(0))
+        );
+        assert_eq!(slice.replicas(), 1);
+        // In place: a replica over a home entry, then a home over a replica.
+        slice.fill(line(4), replica(0, 4));
+        assert_eq!(slice.replicas(), 2);
+        slice.fill(line(8), entry(0, 8));
+        assert_eq!(slice.replicas(), 1);
+        assert_eq!(slice.invalidate(line(4)), Some(replica(0, 4)));
+        assert_eq!(slice.replicas(), 0);
+        slice.fill(line(1), replica(0, 1));
+        let (clock, slots) = state(&slice);
+        slice.clear();
+        assert_eq!(slice.replicas(), 0);
+        for (slot, tag, stamp, entry) in slots {
+            slice.restore_slot(slot, tag, stamp, entry).unwrap();
+        }
+        slice.set_clock(clock);
+        assert_eq!(slice.replicas(), 1);
     }
 
     /// What a checkpoint records of a slice: its LRU clock and occupied

@@ -29,14 +29,20 @@ impl<V: ?Sized> EvictionPriority<V> for PlainLru {
     }
 }
 
-/// Exposes the number of L1 caches currently holding a copy of an LLC line.
+/// What the LLC reads of its entries: the number of L1 caches currently
+/// holding a copy of the line, and whether the entry is a replica.
 ///
 /// Implemented by the LLC directory entry types so that
-/// [`SharerAwareLru`] can prioritize retaining lines with live L1 copies.
+/// [`SharerAwareLru`] can prioritize retaining lines with live L1 copies,
+/// and so that an [`LlcSlice`](crate::LlcSlice) can count its replicas.
 pub trait SharerCount {
     /// Number of L1 caches that hold a copy of this line (replica L1s and the
     /// local L1 both count).
     fn l1_sharer_count(&self) -> usize;
+
+    /// `true` for a replica entry, a local copy of a line whose home entry
+    /// lives in another slice.  An entry keeps its kind while resident.
+    fn is_replica(&self) -> bool;
 }
 
 /// The paper's modified LLC replacement policy (Section 2.2.4): evict lines
@@ -56,6 +62,10 @@ impl<V: SharerCount + ?Sized> SharerCount for Box<V> {
     fn l1_sharer_count(&self) -> usize {
         (**self).l1_sharer_count()
     }
+
+    fn is_replica(&self) -> bool {
+        (**self).is_replica()
+    }
 }
 
 #[cfg(test)]
@@ -69,6 +79,10 @@ mod tests {
     impl SharerCount for Entry {
         fn l1_sharer_count(&self) -> usize {
             self.sharers
+        }
+
+        fn is_replica(&self) -> bool {
+            false
         }
     }
 

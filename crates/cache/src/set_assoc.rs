@@ -584,6 +584,10 @@ mod tests {
             fn l1_sharer_count(&self) -> usize {
                 self.0
             }
+
+            fn is_replica(&self) -> bool {
+                false
+            }
         }
         let mut c = SetAssocCache::new(1, 2);
         c.insert(line(1), E(3), &SharerAwareLru);

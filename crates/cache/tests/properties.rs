@@ -8,7 +8,9 @@
 //! * a line is resident after a fill until it is evicted or invalidated;
 //! * the array behaves like a bounded map (agreement with a reference model);
 //! * a checkpoint restores exactly: an array or LLC slice rebuilt from its
-//!   `slots()` and `clock()` evicts, hits and ends like the original.
+//!   `slots()` and `clock()` evicts, hits and ends like the original;
+//! * an LLC slice's replica count equals a recount of its entries after
+//!   every operation, a restore and a clear.
 
 use std::collections::BTreeMap;
 
@@ -59,6 +61,10 @@ trait Cache {
     /// Writes `state` back through `restore_slot` for each slot, then
     /// `set_clock`.
     fn restore(&mut self, state: State) -> Result<(), String>;
+    fn clear(&mut self);
+    /// The replica count the cache keeps and a recount of its entries, for
+    /// a cache that keeps one.
+    fn replica_counts(&self) -> Option<(usize, usize)>;
 }
 
 impl Cache for SetAssocCache<u32> {
@@ -86,16 +92,29 @@ impl Cache for SetAssocCache<u32> {
         self.set_clock(clock);
         Ok(())
     }
+
+    fn clear(&mut self) {
+        SetAssocCache::clear(self);
+    }
+
+    fn replica_counts(&self) -> Option<(usize, usize)> {
+        None
+    }
 }
 
-/// An LLC entry whose sharer count (0–3) comes from its value, so the
-/// sharer-aware policy meets both ties and distinct priorities.
+/// An LLC entry whose sharer count (0–3) and kind come from its value, so
+/// the sharer-aware policy meets both ties and distinct priorities, and
+/// fills, evictions and in-place replacements meet both kinds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Entry(u32);
 
 impl SharerCount for Entry {
     fn l1_sharer_count(&self) -> usize {
         self.0 as usize % 4
+    }
+
+    fn is_replica(&self) -> bool {
+        self.0 & 4 != 0
     }
 }
 
@@ -122,15 +141,34 @@ impl Cache for LlcSlice<Entry> {
         self.set_clock(clock);
         Ok(())
     }
+
+    fn clear(&mut self) {
+        LlcSlice::clear(self);
+    }
+
+    fn replica_counts(&self) -> Option<(usize, usize)> {
+        let recount = self.iter().filter(|(_, e)| e.is_replica()).count();
+        Some((self.replicas(), recount))
+    }
 }
 
 fn line(l: u64) -> CacheLine {
     CacheLine::from_index(l)
 }
 
+/// Fails if `cache` keeps a replica count that differs from a recount.
+fn counts_agree(cache: &impl Cache) -> Result<(), TestCaseError> {
+    if let Some((kept, recount)) = cache.replica_counts() {
+        prop_assert_eq!(kept, recount);
+    }
+    Ok(())
+}
+
 /// Runs `head` on `original`, restores its state into `fresh` (a new cache
 /// of the same geometry), then runs `tail` on both: every operation must
-/// see the same result, and the two must end in the same state.
+/// see the same result, and the two must end in the same state.  Then
+/// clears `fresh` and runs `tail` on it again.  A kept replica count must
+/// agree with a recount after every step.
 fn restores_exactly(
     mut original: impl Cache,
     mut fresh: impl Cache,
@@ -139,15 +177,25 @@ fn restores_exactly(
 ) -> Result<(), TestCaseError> {
     for op in head {
         original.apply(op);
+        counts_agree(&original)?;
     }
     fresh
         .restore(original.state())
         .map_err(TestCaseError::fail)?;
+    counts_agree(&fresh)?;
     prop_assert_eq!(fresh.state(), original.state());
     for op in tail {
         prop_assert_eq!(fresh.apply(op), original.apply(op), "after {:?}", op);
+        counts_agree(&original)?;
+        counts_agree(&fresh)?;
     }
     prop_assert_eq!(fresh.state(), original.state());
+    fresh.clear();
+    counts_agree(&fresh)?;
+    for op in tail {
+        fresh.apply(op);
+        counts_agree(&fresh)?;
+    }
     Ok(())
 }
 

@@ -47,6 +47,10 @@ impl SharerCount for HomeEntry {
     fn l1_sharer_count(&self) -> usize {
         self.directory.sharer_count()
     }
+
+    fn is_replica(&self) -> bool {
+        false
+    }
 }
 
 /// A replica line installed in the local LLC slice for the local core.
@@ -89,6 +93,10 @@ impl SharerCount for ReplicaEntry {
     fn l1_sharer_count(&self) -> usize {
         usize::from(self.l1_copy)
     }
+
+    fn is_replica(&self) -> bool {
+        true
+    }
 }
 
 /// An LLC slice entry: either the home copy of a line or a local replica.
@@ -101,14 +109,10 @@ pub enum LlcEntry {
 }
 
 impl LlcEntry {
-    /// `true` for home entries.
+    /// `true` for home entries; [`SharerCount::is_replica`] is its
+    /// complement.
     pub fn is_home(&self) -> bool {
         matches!(self, LlcEntry::Home(_))
-    }
-
-    /// `true` for replica entries.
-    pub fn is_replica(&self) -> bool {
-        matches!(self, LlcEntry::Replica(_))
     }
 
     /// The home entry, if this is one.
@@ -142,6 +146,10 @@ impl SharerCount for LlcEntry {
             LlcEntry::Home(home) => home.l1_sharer_count(),
             LlcEntry::Replica(replica) => replica.l1_sharer_count(),
         }
+    }
+
+    fn is_replica(&self) -> bool {
+        matches!(self, LlcEntry::Replica(_))
     }
 }
 

@@ -11,6 +11,12 @@
 //! sends the `shutdown` verb; in-flight cells checkpoint on the way down
 //! so a restart over the same `--data-dir` resumes them.
 //!
+//! `--checkpoint-interval` (default 10 000) sets the accesses between a
+//! cell's boundaries, where it publishes progress, honours cancel and may
+//! spill a checkpoint.  Periodic spills are capped at 5% of a cell's time
+//! (see [`lad_serve::server`]'s spill budget), so a short cell on a warmed
+//! server never spills.
+//!
 //! `--fault-plan` (or the `LAD_FAULT_PLAN` environment variable) arms the
 //! deterministic fault injector for robustness testing — see
 //! [`lad_common::fault::FaultPlan`] for the plan grammar
@@ -35,6 +41,15 @@ USAGE:
 Durable state (result cache, checkpoints, uploaded traces) lives under
 --data-dir; restarting over the same directory keeps cached results and
 resumes checkpointed cells.  Stop the daemon with `lad-client shutdown`.
+
+--checkpoint-interval N (default 10000) is the number of accesses between
+a cell's boundaries, where it reports progress, honours cancel and may
+spill a checkpoint.  A boundary spills only once the cell has run 19
+times as long as the server's last spill took since its own last spill,
+so spills take at most 5% of a cell's time; a fresh server spills at its
+first boundary, and a cancelled or draining cell always spills where it
+stops.  A killed server loses at most one interval plus 19 times the last
+spill's duration of each running cell's work.
 
 --fault-plan (or env LAD_FAULT_PLAN) arms the deterministic fault
 injector for robustness testing.  PLAN is `site:occurrence:kind[;...]`

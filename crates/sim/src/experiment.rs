@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use lad_common::config::SystemConfig;
@@ -30,6 +30,7 @@ use lad_replication::config::ReplicationConfig;
 use lad_replication::policy::{RegisteredScheme, ReplicationPolicy, SchemeRegistry};
 use lad_replication::scheme::{SchemeId, UnknownScheme};
 use lad_trace::benchmarks::Benchmark;
+use lad_trace::generator::WorkloadTrace;
 use lad_trace::suite::BenchmarkSuite;
 use lad_traceio::error::TraceError;
 use lad_traceio::source::{FileSource, TraceSource};
@@ -82,6 +83,10 @@ impl PoolMetrics {
 
 /// One queued matrix cell: simulates it and sends its report back.
 type Job = Box<dyn FnOnce() + Send>;
+
+/// A benchmark's trace, shared by its matrix cells: the first of them to
+/// run generates it, and it is freed with the last of them.
+type SharedTrace = Arc<OnceLock<WorkloadTrace>>;
 
 /// The worker threads of [`ExperimentRunner::run_matrix`], idle between
 /// calls until the runner and its clones drop their queue.  A kept worker
@@ -254,18 +259,18 @@ impl ExperimentRunner {
         scheme: SchemeId,
     ) -> Result<SimulationReport, UnknownScheme> {
         let entry = self.registry.get(scheme)?;
-        Ok(self.run_registered(benchmark, entry))
+        let trace = self.suite.trace_for(benchmark, self.system.num_cores);
+        Ok(self.run_trace(&trace, entry))
     }
 
-    fn run_registered(&self, benchmark: Benchmark, scheme: &RegisteredScheme) -> SimulationReport {
-        let trace = self.suite.trace_for(benchmark, self.system.num_cores);
+    fn run_trace(&self, trace: &WorkloadTrace, scheme: &RegisteredScheme) -> SimulationReport {
         let mut sim = Simulator::with_policy_and_energy_model(
             self.system.clone(),
             scheme.config.clone(),
             Arc::clone(&scheme.policy),
             EnergyModel::paper_default(),
         );
-        sim.run(&trace)
+        sim.run(trace)
     }
 
     /// Replays any [`TraceSource`] (a recorded `.ladt` file, an external
@@ -314,6 +319,9 @@ impl ExperimentRunner {
     /// the first panic a cell raised) once every cell has run.  Results are
     /// keyed by `(benchmark, scheme id)`.
     ///
+    /// The cells of one benchmark share its trace: the first of them to run
+    /// generates it, and it is freed when the last of them finishes.
+    ///
     /// # Errors
     ///
     /// Fails fast with [`UnknownScheme`] (before simulating anything) if any
@@ -326,11 +334,16 @@ impl ExperimentRunner {
             .iter()
             .map(|&id| Ok((id, self.registry.get(id)?)))
             .collect::<Result<_, UnknownScheme>>()?;
-        let jobs: Vec<(Benchmark, SchemeId, &RegisteredScheme)> = self
+        let jobs: Vec<(Benchmark, SharedTrace, SchemeId, &RegisteredScheme)> = self
             .suite
             .benchmarks()
             .iter()
-            .flat_map(|b| resolved.iter().map(move |(id, entry)| (*b, *id, *entry)))
+            .flat_map(|b| {
+                let trace = Arc::new(OnceLock::new());
+                resolved
+                    .iter()
+                    .map(move |(id, entry)| (*b, Arc::clone(&trace), *id, *entry))
+            })
             .collect();
 
         // Work stealing: every idle worker takes the next queued cell
@@ -344,7 +357,7 @@ impl ExperimentRunner {
         let obs = PoolMetrics::resolve();
         let pool_started = Instant::now();
         let (done, finished) = mpsc::channel();
-        for (benchmark, id, entry) in jobs {
+        for (benchmark, trace, id, entry) in jobs {
             let (runner, obs, done) = (Arc::clone(&runner), obs.clone(), done.clone());
             let entry = entry.clone();
             let cell = move || {
@@ -353,7 +366,9 @@ impl ExperimentRunner {
                 obs.busy.inc();
                 let cell_started = Instant::now();
                 let report = panic::catch_unwind(AssertUnwindSafe(|| {
-                    runner.run_registered(benchmark, &entry)
+                    let trace = trace
+                        .get_or_init(|| runner.suite.trace_for(benchmark, runner.system.num_cores));
+                    runner.run_trace(trace, &entry)
                 }));
                 obs.exec.record_duration(cell_started.elapsed());
                 obs.busy.dec();
@@ -809,6 +824,34 @@ mod tests {
         assert_eq!(single.completion_time, from_matrix.completion_time);
         let adhoc = runner.run_one(Benchmark::Dedup, &ReplicationConfig::static_nuca());
         assert_eq!(adhoc.completion_time, from_matrix.completion_time);
+    }
+
+    #[test]
+    fn every_matrix_cell_equals_its_own_run() {
+        // The cells of a benchmark share one trace; a cell that ran on
+        // another benchmark's trace would differ from its own run.
+        let benchmarks = vec![
+            Benchmark::Barnes,
+            Benchmark::Dedup,
+            Benchmark::WaterNsquared,
+        ];
+        let suite = BenchmarkSuite::custom(benchmarks, 100, 9);
+        let runner = ExperimentRunner::new(SystemConfig::small_test(), suite).with_threads(2);
+        let schemes = [
+            SchemeId::StaticNuca,
+            SchemeId::VictimReplication,
+            SchemeId::Rt(3),
+        ];
+        let results = runner.run_matrix(&schemes).unwrap();
+        assert_eq!(results.len(), 9);
+        for ((benchmark, id), report) in &results {
+            let single = runner.run_scheme(*benchmark, *id).unwrap();
+            assert_eq!(
+                report.to_json().to_string(),
+                single.to_json().to_string(),
+                "{benchmark:?} under {id}"
+            );
+        }
     }
 
     #[test]

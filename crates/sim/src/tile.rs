@@ -61,12 +61,16 @@ impl Tile {
     /// Drops this core's copies of `line`: its L1-D and L1-I states and an
     /// LLC replica, which are returned in that order.  A home entry for the
     /// line in this slice is the line's directory, not a copy, and stays.
+    /// The LLC slice is probed only while it holds a replica.
     pub fn drop_copies(
         &mut self,
         line: CacheLine,
     ) -> (Option<MesiState>, Option<MesiState>, Option<ReplicaEntry>) {
         let l1d = self.l1d.remove(line);
         let l1i = self.l1i.remove(line);
+        if self.llc.replicas() == 0 {
+            return (l1d, l1i, None);
+        }
         let replica = self.llc.probe(line).and_then(LlcEntry::as_replica).copied();
         if replica.is_some() {
             self.llc.invalidate(line);
